@@ -1,11 +1,14 @@
 package alloc
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
 	"dmra/internal/geo"
 	"dmra/internal/mec"
+	"dmra/internal/obs"
 	"dmra/internal/radio"
 	"dmra/internal/workload"
 )
@@ -758,5 +761,43 @@ func TestAuctionEpsilonStepVariants(t *testing.T) {
 		if err := mec.ValidateAssignment(net, res.Assignment); err != nil {
 			t.Fatalf("eps=%g: %v", eps, err)
 		}
+	}
+}
+
+// TestObservedArenaBatchedTraceMatchesLegacy pins the arena's batched
+// event emission against the legacy driver's one-Event-per-action path
+// on a run large enough to fill the event buffer mid-round: the JSONL
+// traces (Seqs included) and the per-kind counters must be identical.
+func TestObservedArenaBatchedTraceMatchesLegacy(t *testing.T) {
+	net, err := workload.DenseCity().Scale(3).Build(1)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	run := func(d *DMRA) (string, string, int64) {
+		var trace, counters bytes.Buffer
+		reg := obs.NewRegistry()
+		sink := obs.NewSink(&trace, 16)
+		if _, err := d.WithObserver(obs.NewRecorder(reg, sink)).Allocate(net); err != nil {
+			t.Fatalf("allocate: %v", err)
+		}
+		if err := sink.Err(); err != nil {
+			t.Fatalf("trace writer: %v", err)
+		}
+		for _, name := range []string{"dmra_rounds_total", "dmra_proposals_total", "dmra_accepts_total",
+			`dmra_rejects_total{type="trim"}`, "dmra_cloud_fallbacks_total"} {
+			fmt.Fprintf(&counters, "%s %d\n", name, reg.Counter(name).Value())
+		}
+		return trace.String(), counters.String(), sink.Total()
+	}
+	arenaTrace, arenaCounters, total := run(NewDMRA(DefaultDMRAConfig()).WithProposeWorkers(2))
+	if total <= eventFlushLen {
+		t.Fatalf("run emitted %d events, want more than one %d-event buffer", total, eventFlushLen)
+	}
+	legacyTrace, legacyCounters, _ := run(NewDMRA(DefaultDMRAConfig()).ForceLegacy())
+	if arenaCounters != legacyCounters {
+		t.Fatalf("counters differ:\narena\n%s\nlegacy\n%s", arenaCounters, legacyCounters)
+	}
+	if arenaTrace != legacyTrace {
+		t.Fatal("arena JSONL trace differs from the legacy driver's")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dmra/internal/mec"
+	"dmra/internal/obs"
 	"dmra/internal/workload"
 )
 
@@ -52,6 +53,14 @@ func benchScaledScenarios() []struct {
 		{"densecity-100k", 10, false},
 		{"densecity-1M", 31, true},
 	}
+}
+
+// observedDMRA returns the default allocator with the recorder an
+// operator's observed run attaches: metrics plus a ring-only trace sink.
+// The densecity-100k-observed case times it, so benchdiff gates the
+// telemetry tax like any other ns/op.
+func observedDMRA() *DMRA {
+	return NewDMRA(DefaultDMRAConfig()).WithObserver(obs.NewRecorder(obs.NewRegistry(), obs.NewSink(nil, 4096)))
 }
 
 func benchNet(b testing.TB, cfg workload.Config) *mec.Network {
@@ -99,6 +108,10 @@ func BenchmarkAllocate(b *testing.B) {
 			benchAllocate(b, NewDMRA(DefaultDMRAConfig()), net)
 		})
 	}
+	b.Run("densecity-100k-observed", func(b *testing.B) {
+		net := benchNet(b, workload.DenseCity().Scale(10))
+		benchAllocate(b, observedDMRA(), net)
+	})
 }
 
 // BenchmarkAllocateNaive times the reference implementation on the same
@@ -152,6 +165,14 @@ func TestWriteAllocBenchBaseline(t *testing.T) {
 			"legacy_ns_op": legacy.NsPerOp(),
 			"speedup":      float64(legacy.NsPerOp()) / float64(soa.NsPerOp()),
 			"allocs_op":    soa.AllocsPerOp(),
+		}
+		observed := testing.Benchmark(func(b *testing.B) {
+			benchAllocate(b, observedDMRA(), net)
+		})
+		cases["densecity-100k-observed"] = map[string]any{
+			"ns_op":     observed.NsPerOp(),
+			"tax_ratio": float64(observed.NsPerOp()) / float64(soa.NsPerOp()),
+			"allocs_op": observed.AllocsPerOp(),
 		}
 	}
 	baseline := map[string]any{

@@ -282,6 +282,8 @@ func FuzzDeltaParity(f *testing.F) {
 	f.Add(uint64(42), int16(777), uint8(2), uint8(2), deltaScript(42, 128))
 	f.Add(uint64(1234), int16(1000), uint8(3), uint8(8), deltaScript(1234, 32))
 	f.Add(uint64(99), int16(31), uint8(0), uint8(0), deltaScript(99, 200))
+	f.Add(uint64(42), int16(-1600), uint8(0), uint8(2), deltaScript(42, 128))
+	f.Add(uint64(7), int16(-16), uint8(1), uint8(3), deltaScript(7, 64))
 	f.Fuzz(func(t *testing.T, seed uint64, rhoRaw int16, flags, workersRaw uint8, script []byte) {
 		net, err := alloc.GenScenarioForTest(seed).Build(seed)
 		if err != nil {
@@ -291,9 +293,7 @@ func FuzzDeltaParity(f *testing.F) {
 			t.Skip()
 		}
 		dcfg := alloc.DMRAConfig{
-			// Incremental mode shares the SoA engine's rho >= 0
-			// precondition (lazy-heap exactness).
-			Rho:        float64(rhoRaw&0x7fff) / 4,
+			Rho:        float64(rhoRaw) / 4,
 			SPPriority: flags&1 == 0,
 			FuTieBreak: flags&2 == 0,
 		}

@@ -96,7 +96,15 @@ type runState struct {
 	// lastScanned/lastRescored are the cache counters at the previous
 	// round boundary, for per-round observability deltas.
 	lastScanned, lastRescored uint64
+	// events buffers an observed arena run's trace events between
+	// flushes to the recorder (see eventFlushLen).
+	events []obs.Event
 }
+
+// eventFlushLen bounds the observed arena run's event buffer: a full
+// buffer (~3.5 MB of events) is flushed to the recorder mid-round, so
+// memory stays flat however large the population.
+const eventFlushLen = 1 << 16
 
 var _ Allocator = (*DMRA)(nil)
 
@@ -108,7 +116,8 @@ func NewDMRA(cfg DMRAConfig) *DMRA {
 // WithObserver attaches an observability recorder and returns the
 // allocator for chaining. A nil recorder (the default) keeps Allocate
 // allocation-free on the hot path: every instrumentation site is behind
-// one pointer test.
+// one pointer test. On the arena path events reach the recorder in
+// batches, each round's by the end of that round.
 func (d *DMRA) WithObserver(rec *obs.Recorder) *DMRA {
 	d.obs = rec
 	return d
@@ -164,11 +173,10 @@ func (d *DMRA) AllocateInto(net *mec.Network, res *Result) error {
 		return d.allocateNaive(net, res)
 	}
 	// The SoA arena engine is the default whenever the network carries a
-	// dense candidate view (NewNetwork-built, fits int32 indices) and rho
-	// is non-negative (the lazy-heap exactness precondition). SubView
-	// networks — whose candidate lists change across Refresh — and
-	// negative-rho ablations take the pointer-based engine below.
-	if !d.legacy && d.cfg.Rho >= 0 && net.Dense() != nil {
+	// dense candidate view (NewNetwork-built, fits int32 indices). SubView
+	// networks — whose candidate lists change across Refresh — take the
+	// pointer-based engine below.
+	if !d.legacy && net.Dense() != nil {
 		return d.allocateSoA(net, res)
 	}
 	rs, _ := d.pool.Get().(*runState)
@@ -302,12 +310,14 @@ func (d *DMRA) AllocateInto(net *mec.Network, res *Result) error {
 }
 
 // allocateSoA runs Alg. 1 through the struct-of-arrays arena engine:
-// flat candidate heaps, a dense ledger, arena storage reused across
+// flat candidate lists, a dense ledger, arena storage reused across
 // Allocate calls via the same pool as the legacy scratch, and an
 // optionally parallel propose phase. With a nil observer and hook the
 // run performs zero steady-state heap allocations; with them attached
 // it reproduces the exact event and snapshot streams of the legacy
-// driver (the SoA parity fuzz pins both).
+// driver (the SoA parity fuzz pins both). Observed events are buffered
+// in runState and handed to the recorder in batches: when the buffer
+// fills, at every round's end, and when the run returns.
 func (d *DMRA) allocateSoA(net *mec.Network, res *Result) error {
 	rs, _ := d.pool.Get().(*runState)
 	if rs == nil {
@@ -325,24 +335,36 @@ func (d *DMRA) allocateSoA(net *mec.Network, res *Result) error {
 		if d.obs != nil {
 			round := 0
 			var lastScanned, lastRescored uint64
+			flush := func() {
+				d.obs.Events(rs.events)
+				rs.events = rs.events[:0]
+			}
+			defer flush()
+			event := func(kind obs.EventKind, ue, bs int) {
+				if len(rs.events) == eventFlushLen {
+					flush()
+				}
+				rs.events = append(rs.events, obs.Event{Kind: kind, Round: round, UE: ue, BS: bs})
+			}
 			hooks.Round = func(r int) {
 				round = r
-				d.obs.Event(obs.KindRound, r, -1, -1)
+				event(obs.KindRound, -1, -1)
 			}
 			hooks.Propose = func(u, b int32) {
-				d.obs.Event(obs.KindPropose, round, int(u), int(b))
+				event(obs.KindPropose, int(u), int(b))
 			}
 			hooks.Cloud = func(u int32) {
-				d.obs.Event(obs.KindCloudFallback, round, int(u), int(mec.CloudBS))
+				event(obs.KindCloudFallback, int(u), int(mec.CloudBS))
 			}
 			hooks.Verdict = func(b int32, v engine.Verdict) {
 				if v.Accepted {
-					d.obs.Event(obs.KindAccept, round, int(v.Req.UE), int(b))
+					event(obs.KindAccept, int(v.Req.UE), int(b))
 				} else {
-					d.obs.Event(obs.KindRejectTrim, round, int(v.Req.UE), int(b))
+					event(obs.KindRejectTrim, int(v.Req.UE), int(b))
 				}
 			}
 			hooks.RoundDone = func(int) {
+				flush()
 				d.observeArenaRound(a)
 				scanned, rescored := a.CacheStats()
 				d.obs.PrefCacheRound(int64(scanned-lastScanned), int64(rescored-lastRescored))

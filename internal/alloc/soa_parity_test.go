@@ -156,9 +156,8 @@ func TestSoASmoke50k(t *testing.T) {
 	if serial.Stats.Accepts == 0 {
 		t.Fatal("50k scenario matched nothing; smoke is vacuous")
 	}
-	// Unobserved runs take the arena's scan propose path; pin it to the
-	// legacy lazy-heap engine at a population where the two accounting
-	// schemes diverge the most.
+	// Pin the arena's scan propose path to the legacy lazy-heap engine at
+	// a population where the two accounting schemes diverge the most.
 	legacy, err := alloc.NewDMRA(dcfg).ForceLegacy().Allocate(net)
 	if err != nil {
 		t.Fatalf("legacy allocate: %v", err)
@@ -206,6 +205,8 @@ func FuzzSoAParity(f *testing.F) {
 	f.Add(uint64(42), int16(777), uint8(2), uint8(2))
 	f.Add(uint64(1234), int16(1000), uint8(3), uint8(8))
 	f.Add(uint64(99), int16(31), uint8(0), uint8(0))
+	f.Add(uint64(42), int16(-1600), uint8(0), uint8(2))
+	f.Add(uint64(7), int16(-16), uint8(1), uint8(3))
 	f.Fuzz(func(t *testing.T, seed uint64, rhoRaw int16, flags, workersRaw uint8) {
 		net, err := alloc.GenScenarioForTest(seed).Build(seed)
 		if err != nil {
@@ -213,10 +214,7 @@ func FuzzSoAParity(f *testing.F) {
 		}
 		workers := 1 + int(workersRaw%8)
 		dcfg := alloc.DMRAConfig{
-			// The SoA engine requires rho >= 0 (the lazy-heap exactness
-			// precondition); negative rho routes to the legacy engine, which
-			// FuzzDMRACachedEquivalence already covers.
-			Rho:        float64(rhoRaw&0x7fff) / 4,
+			Rho:        float64(rhoRaw) / 4,
 			SPPriority: flags&1 == 0,
 			FuTieBreak: flags&2 == 0,
 		}

@@ -102,24 +102,21 @@ type Incremental struct {
 
 // Begin starts an incremental session over net's dense candidate view
 // with an empty assignment and full capacities. Like Arena.Run it
-// requires a dense view and rho >= 0; workers <= 0 means GOMAXPROCS.
+// requires a dense view and is exact at any rho; workers <= 0 means
+// GOMAXPROCS.
 func (inc *Incremental) Begin(net *mec.Network, cfg Config, workers int) error {
 	csr := net.Dense()
 	if csr == nil {
 		return fmt.Errorf("engine: Incremental.Begin: network has no dense candidate view")
-	}
-	if cfg.Rho < 0 {
-		return fmt.Errorf("engine: Incremental.Begin: rho %g < 0 needs the linear-rescan engine", cfg.Rho)
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	inc.workers = workers
 	a := &inc.a
-	// The scan path recomputes preferences fresh on every propose, so a
+	// The scan recomputes preferences fresh on every propose, so a
 	// persistent ledger needs no cached-value invalidation — only the
 	// feasibility drops tracked by the region stamps.
-	a.scan = true
 	a.reset(csr, cfg)
 	// reset pends the whole population for a one-shot run; a session
 	// starts empty and pends UEs as they arrive.
@@ -196,15 +193,14 @@ func (inc *Incremental) SetDemand(u mec.UEID, cru int) error {
 
 // release undoes UE u's standing match at BS b: credit the ledger with
 // exactly what Admit debited (a.cru[u] is still the admitted demand —
-// SetDemand releases before mutating), bump the BS version, and
-// invalidate every covering UE's cached drops.
+// SetDemand releases before mutating) and invalidate every covering
+// UE's cached drops.
 func (inc *Incremental) release(u, b int32) {
 	a := &inc.a
 	csr := a.csr
 	g := csr.FindCand(mec.UEID(u), mec.BSID(b))
 	a.remCRU[b*int32(csr.Services)+csr.Service[u]] += a.cru[u]
 	a.remRRB[b] += csr.RRBs[g]
-	a.ver[b]++
 	a.serving[u] = -1
 	a.assigned.Clear(u)
 	inc.released++

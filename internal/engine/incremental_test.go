@@ -145,18 +145,68 @@ func TestIncrementalSetDemand(t *testing.T) {
 	}
 }
 
-// TestIncrementalBeginRejects pins the mode's preconditions.
+// TestIncrementalBeginRejects pins the mode's one precondition: a dense
+// candidate view.
 func TestIncrementalBeginRejects(t *testing.T) {
 	net := buildIncNet(t, 3)
-	cfg := engine.DefaultConfig()
-	cfg.Rho = -5
 	var inc engine.Incremental
-	if err := inc.Begin(net, cfg, 1); err == nil || !strings.Contains(err.Error(), "rho") {
-		t.Fatalf("negative rho accepted: %v", err)
-	}
 	sub := net.NewSubView().Refresh(nil, mec.NewState(net))
 	if err := inc.Begin(sub, engine.DefaultConfig(), 1); err == nil || !strings.Contains(err.Error(), "dense") {
 		t.Fatalf("dense-less SubView accepted: %v", err)
+	}
+}
+
+// TestIncrementalNegativeRho pins the delta engine at rho < 0, where a
+// spare-capacity term rewards crowded BSs: settling the whole population
+// must reproduce a from-scratch arena run — assignment, residuals and
+// round counters.
+func TestIncrementalNegativeRho(t *testing.T) {
+	accepts := 0
+	for _, seed := range []uint64{3, 5, 11, 12} {
+		net := buildIncNet(t, seed)
+		for _, rho := range []float64{-400, -4} {
+			cfg := engine.DefaultConfig()
+			cfg.Rho = rho
+			var arena engine.Arena
+			want, err := arena.Run(net, cfg, 1, nil)
+			if err != nil {
+				t.Fatalf("seed %d rho %g: arena run: %v", seed, rho, err)
+			}
+			var inc engine.Incremental
+			if err := inc.Begin(net, cfg, 2); err != nil {
+				t.Fatalf("seed %d rho %g: Begin: %v", seed, rho, err)
+			}
+			for u := range net.UEs {
+				if err := inc.Arrive(mec.UEID(u)); err != nil {
+					t.Fatalf("seed %d rho %g: Arrive(%d): %v", seed, rho, u, err)
+				}
+			}
+			ds, err := inc.Settle()
+			if err != nil {
+				t.Fatalf("seed %d rho %g: Settle: %v", seed, rho, err)
+			}
+			got := engine.SoAStats{Rounds: ds.Rounds, Proposals: ds.Proposals, Accepts: ds.Accepts, Rejects: ds.Rejects}
+			// A from-scratch run counts one closing empty round even when
+			// no UE can propose at all; Settle skips an empty frontier.
+			if got != want && !(want.Proposals == 0 && ds.Frontier == 0) {
+				t.Fatalf("seed %d rho %g: settle stats %+v, from-scratch %+v", seed, rho, got, want)
+			}
+			if !equalInt32(inc.Serving(), arena.Serving()) {
+				t.Fatalf("seed %d rho %g: settled assignment differs from the from-scratch run", seed, rho)
+			}
+			for b := 0; b < arena.BSs(); b++ {
+				if inc.RemRRB(b) != arena.RemRRB(b) {
+					t.Fatalf("seed %d rho %g: BS %d residual RRBs %d, from-scratch %d", seed, rho, b, inc.RemRRB(b), arena.RemRRB(b))
+				}
+			}
+			if err := inc.CheckInvariants(); err != nil {
+				t.Fatalf("seed %d rho %g: invariants: %v", seed, rho, err)
+			}
+			accepts += want.Accepts
+		}
+	}
+	if accepts == 0 {
+		t.Fatal("no scenario admitted anything; the test is vacuous")
 	}
 }
 

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 
@@ -11,20 +10,20 @@ import (
 
 // This file is the struct-of-arrays round engine: the same Alg. 1 state
 // machine as Proposer/PrefScorer/SelectRound, re-laid-out for the
-// million-UE regime. The per-UE candidate heaps, the BS ledger, and every
-// round buffer live in a handful of flat arrays inside an Arena that is
-// reset — not reallocated — across runs, so a steady-state run performs
-// zero heap allocations and walks memory sequentially instead of chasing
-// a pointer per UE and another per candidate list.
+// million-UE regime. The per-UE alive-candidate lists, the BS ledger, and
+// every round buffer live in a handful of flat arrays inside an Arena
+// that is reset — not reallocated — across runs, so a steady-state run
+// performs zero heap allocations and walks memory sequentially instead of
+// chasing a pointer per UE and another per candidate list.
 //
 // The propose phase optionally fans across workers. That is safe and
 // exactly deterministic because of how Alg. 1 rounds are structured:
 //
-//   - Propose only READS the residual ledger (ver/remCRU/remRRB); the
+//   - Propose only READS the residual ledger (remCRU/remRRB); the
 //     select phase, which runs strictly after all workers join, is the
 //     only writer. Workers score against an immutable snapshot by
 //     construction.
-//   - All per-UE mutable state (the lazy heap region, hlen) is touched
+//   - All per-UE mutable state (the candidate region, hlen) is touched
 //     only by the worker that owns the UE, and workers own contiguous
 //     chunks of the pending list.
 //   - Each worker writes proposals into its own chunk of the proposal
@@ -33,13 +32,9 @@ import (
 //     contiguous — is exactly the order a serial sweep would have
 //     produced.
 //
-// Assignments, statistics, cache counters, and the ordered event stream
+// Assignments, statistics, scan counters, and the ordered event stream
 // are therefore byte-identical at any worker count, the same determinism
 // contract the wire coordinator proves for shards.
-
-// staleVer32 marks a heap entry that has never been scored. Arena
-// versions count admissions from zero, so they can never reach it.
-const staleVer32 = ^uint32(0)
 
 // soaProposal is one UE's proposal of a round: the proposing UE and the
 // global candidate index (into the CSR arrays) of the link it chose.
@@ -91,11 +86,9 @@ type Arena struct {
 	cfg Config
 
 	// Dense ledger, addressed by BS index: remCRU is Services-strided
-	// like CSR.CRUCap; ver counts admissions per BS and versions the
-	// lazy heap entries.
+	// like CSR.CRUCap.
 	remCRU []int32
 	remRRB []int32
-	ver    []uint32
 
 	// serving[u] is the admitting BS or -1 (mec.CloudBS); assigned is
 	// the same fact as a bitset for the O(1) membership tests in the
@@ -108,25 +101,18 @@ type Arena struct {
 	// changes never write through to the shared CSR.
 	cru []int32
 
-	// Flat lazy min-heaps, one region per UE at csr.Off[u]: hv/hver/hk
-	// are the prefEntry fields of pref.go in parallel arrays, hlen[u]
-	// is the live heap size. Infeasible candidates surface at the top
-	// and are swap-removed immediately, so no tombstone set is needed.
-	// Unobserved runs (scan == true) use only hk/hlen, as an unordered
-	// alive-candidate list per UE.
-	hv   []float64
-	hver []uint32
+	// Flat alive-candidate lists, one region per UE at csr.Off[u]:
+	// hk[Off[u]:Off[u]+hlen[u]] holds the candidate indices not yet
+	// dropped as infeasible, in no particular order.
 	hk   []int32
 	hlen []int32
-	scan bool
 
-	// Dirty-region tracking: a UE's heap region is valid only while
+	// Dirty-region tracking: a UE's region is valid only while
 	// hstamp[u] == run. reset bumps run instead of re-filling the
-	// O(links) heap arrays (the full-array zeroing ROADMAP measured at
-	// ~44% of observed-run CPU); each region is (re)initialized lazily
-	// at the UE's first propose of the run, inside the propose worker
-	// that owns it. The incremental engine clears individual stamps to
-	// force a region rebuild after a ledger credit.
+	// O(links) hk array; each region is (re)initialized lazily at the
+	// UE's first propose of the run, inside the propose worker that owns
+	// it. The incremental engine clears individual stamps to force a
+	// region rebuild after a ledger credit.
 	hstamp []uint32
 	run    uint32
 
@@ -139,7 +125,7 @@ type Arena struct {
 	props  []soaProposal
 	nprops int
 
-	// Per-worker outputs: proposal counts and cache counters, summed
+	// Per-worker outputs: proposal counts and scan counters, summed
 	// serially after the join so totals are worker-count independent.
 	wcnt  []int32
 	wscan []uint64
@@ -174,28 +160,17 @@ func grown[T any](s []T, n int) []T {
 
 // Run executes Alg. 1 to quiescence over net's dense candidate view,
 // with the propose phase partitioned across workers (workers <= 0 means
-// GOMAXPROCS). The result is byte-identical at any worker count. It
-// requires a dense view (NewNetwork-built networks) and rho >= 0 — the
-// lazy-heap lower-bound argument of pref.go is what makes the flat
-// heaps exact, and negative rho breaks it; callers route those runs to
-// the legacy engine.
+// GOMAXPROCS). The result is byte-identical at any worker count and
+// exact at any rho (see proposeUEScan). It requires a dense view
+// (NewNetwork-built networks).
 func (a *Arena) Run(net *mec.Network, cfg Config, workers int, hooks *SoAHooks) (SoAStats, error) {
 	csr := net.Dense()
 	if csr == nil {
 		return SoAStats{}, fmt.Errorf("engine: Arena.Run: network has no dense candidate view")
 	}
-	if cfg.Rho < 0 {
-		return SoAStats{}, fmt.Errorf("engine: Arena.Run: rho %g < 0 needs the linear-rescan engine", cfg.Rho)
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// With no hooks, nothing consumes per-event order or the cache
-	// counters, so propose can use the linear-scan path: the proposal —
-	// the (preference, candidate)-lex minimum over the currently
-	// feasible candidates — is identical by construction (see
-	// proposeUEScan), only the scanned/rescored accounting differs.
-	a.scan = hooks == nil
 	a.reset(csr, cfg)
 	var snapHook RoundHook
 	if hooks != nil && hooks.Snapshot != nil {
@@ -244,7 +219,7 @@ func (a *Arena) Run(net *mec.Network, cfg Config, workers int, hooks *SoAHooks) 
 }
 
 // reset rewinds the arena for a fresh run over csr, reusing storage.
-// The O(links) heap regions are NOT re-filled here: bumping the run
+// The O(links) candidate regions are NOT re-filled here: bumping the run
 // stamp invalidates every region at once, and each is rebuilt lazily at
 // its UE's first propose (see initRegion) — so reset itself is
 // O(UEs + BSs·Services), and a run only pays region setup for UEs that
@@ -262,8 +237,6 @@ func (a *Arena) reset(csr *mec.CSR, cfg Config) {
 	copy(a.remCRU, csr.CRUCap)
 	a.remRRB = grown(a.remRRB, nBS)
 	copy(a.remRRB, csr.MaxRRB)
-	a.ver = grown(a.ver, nBS)
-	clear(a.ver)
 
 	a.serving = grown(a.serving, nUE)
 	for i := range a.serving {
@@ -273,14 +246,7 @@ func (a *Arena) reset(csr *mec.CSR, cfg Config) {
 
 	a.hk = grown(a.hk, links)
 	a.hlen = grown(a.hlen, nUE)
-	if !a.scan {
-		// The scan path never reads values or versions, so unobserved
-		// runs skip the allocation entirely; the sentinel fills happen
-		// per region in initRegion.
-		a.hv = grown(a.hv, links)
-		a.hver = grown(a.hver, links)
-	}
-	// One stamp bump invalidates every heap region. Stamps from earlier
+	// One stamp bump invalidates every candidate region. Stamps from earlier
 	// runs are always below the new run value, except after the (in
 	// practice unreachable) uint32 wrap or when the stamp array grows
 	// into stale capacity — both cleared explicitly.
@@ -311,23 +277,15 @@ func (a *Arena) reset(csr *mec.CSR, cfg Config) {
 	a.bsOff = grown(a.bsOff, nBS)
 }
 
-// initRegion (re)builds UE u's heap region for the current run: the full
-// candidate list alive, in the all-equal-sentinel order that forms a
-// valid heap with a first-touch rescore forced — the same initial state
-// as PrefScorer.Reset. Called by the propose worker that owns u, so the
-// writes are UE-local and race-free under parallel propose.
+// initRegion (re)builds UE u's candidate region for the current run:
+// the full candidate list alive. Called by the propose worker that owns
+// u, so the writes are UE-local and race-free under parallel propose.
 func (a *Arena) initRegion(u int32) {
 	lo, hi := a.csr.Off[u], a.csr.Off[u+1]
 	cnt := hi - lo
 	a.hlen[u] = cnt
 	for k := int32(0); k < cnt; k++ {
 		a.hk[lo+k] = k
-	}
-	if !a.scan {
-		for i := lo; i < hi; i++ {
-			a.hv[i] = math.Inf(-1)
-			a.hver[i] = staleVer32
-		}
 	}
 	a.hstamp[u] = a.run
 }
@@ -390,8 +348,11 @@ func (a *Arena) proposeWorkerWG(w, lo, hi int) {
 
 // proposeWorker proposes for pending[lo:hi], writing proposals into the
 // props chunk starting at lo and its counters into slot w. It reads the
-// ledger and the assigned bitset but writes only UE-local heap state and
-// its own output slots.
+// ledger and the assigned bitset but writes only UE-local candidate
+// state and its own output slots. The counters are what PrefCacheRound
+// reports: scanned is the candidates visited (what a naive Eq. 17 sweep
+// would score), rescored the Eq. 17 evaluations actually run — every
+// visited candidate that survived the feasibility drop.
 func (a *Arena) proposeWorker(w, lo, hi int) {
 	var cnt int32
 	var scanned, rescored uint64
@@ -404,16 +365,9 @@ func (a *Arena) proposeWorker(w, lo, hi int) {
 		if a.hstamp[u] != a.run {
 			a.initRegion(u)
 		}
-		var g int32
-		var ok bool
-		if a.scan {
-			g, ok = a.proposeUEScan(u)
-		} else {
-			var s, r uint64
-			g, ok, s, r = a.proposeUE(u)
-			scanned += s
-			rescored += r
-		}
+		scanned += uint64(a.hlen[u])
+		g, ok := a.proposeUEScan(u)
+		rescored += uint64(a.hlen[u])
 		if ok {
 			props[lo+int(cnt)] = soaProposal{ue: u, g: g}
 			cnt++
@@ -424,18 +378,17 @@ func (a *Arena) proposeWorker(w, lo, hi int) {
 	a.wresc[w] = rescored
 }
 
-// proposeUEScan is proposeUE for unobserved runs: a straight sweep over
-// the UE's unordered alive-candidate list (hk[Off[u]:Off[u]+hlen[u]])
-// that drops every currently-infeasible candidate and returns the
-// (preference, candidate-index)-lex minimum of the rest. It produces
-// exactly proposeUE's proposal: both return the lex-min over the
-// feasible candidates, and dropping infeasible ones eagerly (rather
-// than only when they surface at the heap top) changes nothing because
-// residuals never grow within a run — infeasible now means infeasible
-// forever. What it does not maintain is the heap's scanned/rescored
-// accounting, which only observed runs report. The payoff is locality:
-// each proposal touches one contiguous int32 run plus the ledger, with
-// no sift writes and no version traffic.
+// proposeUEScan is Proposer.Propose over the flat arena (Alg. 1 lines
+// 3-10): a straight sweep over the UE's unordered alive-candidate list
+// (hk[Off[u]:Off[u]+hlen[u]]) that drops every currently-infeasible
+// candidate and returns the global index of the (preference,
+// candidate-index)-lex minimum of the rest — the lowest-index minimum,
+// exactly what the naive first-strictly-less sweep picks. Every
+// surviving candidate is scored fresh against the live ledger, so no
+// cached value can go stale whatever rho's sign; and a drop is final
+// because residuals never grow within a run — infeasible now means
+// infeasible forever. Each proposal touches one contiguous int32 run
+// plus the ledger.
 func (a *Arena) proposeUEScan(u int32) (int32, bool) {
 	n := a.hlen[u]
 	if n == 0 {
@@ -471,82 +424,6 @@ func (a *Arena) proposeUEScan(u int32) (int32, bool) {
 		return 0, false
 	}
 	return base + best, true
-}
-
-// proposeUE picks UE u's minimum-preference candidate whose residuals
-// still fit it, permanently dropping view-infeasible candidates along
-// the way (Alg. 1 lines 3-10). It is Proposer.Propose over the flat
-// heap: the same lazy-refresh loop as PrefScorer.Best, with the drop
-// fused in — an infeasible candidate is always the freshly-refreshed
-// top, so it is swap-removed on the spot instead of tombstoned. Returns
-// the global candidate index of the chosen link.
-func (a *Arena) proposeUE(u int32) (g int32, ok bool, scanned, rescored uint64) {
-	n := a.hlen[u]
-	if n == 0 {
-		return 0, false, 0, 0
-	}
-	csr := a.csr
-	base := csr.Off[u]
-	svc := csr.Service[u]
-	need := a.cru[u]
-	S := int32(csr.Services)
-	hv, hver, hk := a.hv, a.hver, a.hk
-	for n > 0 {
-		scanned += uint64(n)
-		for {
-			gi := base + hk[base]
-			b := csr.BS[gi]
-			cur := a.ver[b]
-			if hver[base] == cur {
-				break
-			}
-			hv[base] = a.cfg.preference(csr.Price[gi], int(a.remCRU[b*S+svc])+int(a.remRRB[b]))
-			hver[base] = cur
-			rescored++
-			a.heapSiftDown(base, n)
-		}
-		gi := base + hk[base]
-		b := csr.BS[gi]
-		if a.remCRU[b*S+svc] >= need && a.remRRB[b] >= csr.RRBs[gi] {
-			a.hlen[u] = n
-			return gi, true, scanned, rescored
-		}
-		n--
-		if n > 0 {
-			hv[base], hver[base], hk[base] = hv[base+n], hver[base+n], hk[base+n]
-			if n > 1 {
-				a.heapSiftDown(base, n)
-			}
-		}
-	}
-	a.hlen[u] = 0
-	return 0, false, scanned, rescored
-}
-
-// heapSiftDown restores the min-heap property from the root of the
-// n-entry heap region starting at base, ordered by (value, candidate
-// index) exactly like prefLess.
-func (a *Arena) heapSiftDown(base, n int32) {
-	hv, hver, hk := a.hv, a.hver, a.hk
-	i := int32(0)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && soaLess(hv[base+r], hk[base+r], hv[base+l], hk[base+l]) {
-			m = r
-		}
-		if !soaLess(hv[base+m], hk[base+m], hv[base+i], hk[base+i]) {
-			return
-		}
-		bi, bm := base+i, base+m
-		hv[bi], hv[bm] = hv[bm], hv[bi]
-		hver[bi], hver[bm] = hver[bm], hver[bi]
-		hk[bi], hk[bm] = hk[bm], hk[bi]
-		i = m
-	}
 }
 
 // soaLess is prefLess over the flattened entry fields.
@@ -657,15 +534,13 @@ func (l *arenaLedger) Residual(j mec.ServiceID) (remCRU, remRRBs int) {
 	return int(a.remCRU[l.bs*int32(a.csr.Services)+int32(j)]), int(a.remRRB[l.bs])
 }
 
-// Admit implements Ledger: debit the dense ledger, bump the BS version
-// (which lazily invalidates every cached preference against it), and
-// record the assignment. SelectRound only calls it after a Residual
-// feasibility check.
+// Admit implements Ledger: debit the dense ledger and record the
+// assignment. SelectRound only calls it after a Residual feasibility
+// check.
 func (l *arenaLedger) Admit(r Request) error {
 	a, b := l.a, l.bs
 	a.remCRU[b*int32(a.csr.Services)+int32(r.Service)] -= int32(r.CRUs)
 	a.remRRB[b] -= int32(r.RRBs)
-	a.ver[b]++
 	u := int32(r.UE)
 	a.serving[u] = b
 	a.assigned.Set(u)
@@ -730,9 +605,10 @@ func (a *Arena) RemRRB(b int) int { return int(a.remRRB[b]) }
 // AssignedCount returns the number of served UEs.
 func (a *Arena) AssignedCount() int { return a.assigned.Count() }
 
-// CacheStats returns the cumulative Eq. 17 evaluations a naive sweep
-// would have performed and the evaluations actually run, identical in
-// meaning (and, by construction, in value) to PrefScorer.CacheStats.
+// CacheStats returns the cumulative candidates visited and Eq. 17
+// evaluations run, the same meaning as PrefScorer.CacheStats. The arena
+// has no preference cache: the gap between the two is only the visited
+// candidates dropped as infeasible before scoring.
 func (a *Arena) CacheStats() (scanned, rescored uint64) {
 	return a.scanned, a.rescored
 }

@@ -11,10 +11,9 @@ import (
 )
 
 // BenchmarkArenaReset times the arena's between-run reset alone at the
-// 100k dense-city rung. Before the lazy dirty-region scheme this walked
-// every candidate link to refill heap keys and sentinel scores (~44% of
-// an observed-run profile); now it is O(UEs + BSs*Services) stamp and
-// ledger work, and the steady state must not allocate.
+// 100k dense-city rung. With the lazy dirty-region scheme it never walks
+// the candidate links; it is O(UEs + BSs*Services) stamp and ledger
+// work, and the steady state must not allocate.
 func BenchmarkArenaReset(b *testing.B) {
 	net, err := workload.DenseCity().Scale(10).Build(1)
 	if err != nil {

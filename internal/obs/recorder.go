@@ -119,23 +119,51 @@ func (r *Recorder) emit(e Event) {
 	if r == nil {
 		return
 	}
-	switch e.Kind {
-	case KindRound:
-		r.rounds.Inc()
-	case KindPropose:
-		r.proposals.Inc()
-	case KindAccept:
-		r.accepts.Inc()
-	case KindRejectPermanent:
-		r.rejPerm.Inc()
-	case KindRejectTrim:
-		r.rejTrim.Inc()
-	case KindCloudFallback:
-		r.cloud.Inc()
-	case KindBroadcast:
-		r.broadcasts.Inc()
-	}
+	r.kindCounter(e.Kind).Inc()
 	r.sink.Emit(e)
+}
+
+// Events records a batch of protocol actions in order: the same counters,
+// sequence numbers and trace bytes as one Event call each, for one
+// counter Add per kind and one sink lock. No-op on a nil recorder.
+func (r *Recorder) Events(events []Event) {
+	if r == nil {
+		return
+	}
+	var perKind [len(kindNames)]int64
+	for _, e := range events {
+		if int(e.Kind) < len(perKind) {
+			perKind[e.Kind]++
+		}
+	}
+	for k, n := range perKind {
+		if n > 0 {
+			r.kindCounter(EventKind(k)).Add(n)
+		}
+	}
+	r.sink.EmitBatch(events)
+}
+
+// kindCounter returns the per-kind event counter, nil for a kind with
+// none.
+func (r *Recorder) kindCounter(k EventKind) *Counter {
+	switch k {
+	case KindRound:
+		return r.rounds
+	case KindPropose:
+		return r.proposals
+	case KindAccept:
+		return r.accepts
+	case KindRejectPermanent:
+		return r.rejPerm
+	case KindRejectTrim:
+		return r.rejTrim
+	case KindCloudFallback:
+		return r.cloud
+	case KindBroadcast:
+		return r.broadcasts
+	}
+	return nil
 }
 
 // Residual updates BS bs's per-round residual-capacity gauges: remaining

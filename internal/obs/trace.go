@@ -130,6 +130,34 @@ func (s *Sink) Emit(e Event) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.record(e)
+}
+
+// EmitBatch records events in order under one lock: the same sequence
+// numbers, ring contents and JSONL bytes as one Emit per event. The
+// caller's slice is not modified. No-op on nil.
+func (s *Sink) EmitBatch(events []Event) {
+	if s == nil || len(events) == 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.w == nil || s.err != nil {
+		// Nothing is written, so events the ring would overwrite within
+		// this batch only advance the sequence.
+		if skip := len(events) - len(s.ring); skip > 0 {
+			s.seq += int64(skip)
+			events = events[skip:]
+		}
+	}
+	for _, e := range events {
+		s.record(e)
+	}
+}
+
+// record assigns e the next sequence number, retains it in the ring and
+// writes it to the JSONL writer. The caller holds s.mu.
+func (s *Sink) record(e Event) {
 	s.seq++
 	e.Seq = s.seq
 	if s.n < len(s.ring) {

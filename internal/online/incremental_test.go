@@ -2,6 +2,7 @@ package online
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -105,9 +106,36 @@ func TestIncrementalValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("incremental mode accepted a non-dmra policy")
 	}
-	bad = c
-	bad.DMRA.Rho = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("incremental mode accepted rho < 0")
+	neg := c
+	neg.DMRA.Rho = -1
+	if err := neg.Validate(); err != nil {
+		t.Errorf("incremental mode rejected rho < 0: %v", err)
+	}
+}
+
+// TestIncrementalEngineErrorIsReturned pins that a delta-engine failure
+// mid-session surfaces as an error from Run, naming the failing step,
+// instead of panicking the process.
+func TestIncrementalEngineErrorIsReturned(t *testing.T) {
+	cfg := fastConfig()
+	cfg.Incremental = true
+	var (
+		rep Report
+		err error
+	)
+	func() {
+		defer func() {
+			if p := recover(); p != nil {
+				t.Fatalf("engine failure panicked: %v", p)
+			}
+		}()
+		rep, err = runWithPrearrivedEngine(cfg)
+	}()
+	if err == nil || !strings.Contains(err.Error(), "online: incremental arrival") ||
+		!strings.Contains(err.Error(), "already pending") {
+		t.Fatalf("got err %v, want the incremental arrival failure", err)
+	}
+	if !reflect.DeepEqual(rep, Report{}) {
+		t.Fatalf("failed session returned a partial report: %+v", rep)
 	}
 }

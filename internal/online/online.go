@@ -81,8 +81,8 @@ type Config struct {
 	// departures rather than the standing population. Reports are
 	// byte-identical to the default mode (the delta-repair fuzz gate
 	// proves the assignments equal); only the Delta* counters are new.
-	// Requires Algorithm == "dmra", rho >= 0, and a NewNetwork-built
-	// scenario (the dense candidate view).
+	// Requires Algorithm == "dmra" and a NewNetwork-built scenario (the
+	// dense candidate view); any rho works.
 	Incremental bool
 	// Seed drives arrivals, holding times, and the scenario build.
 	Seed uint64
@@ -144,13 +144,8 @@ func (c Config) Validate() error {
 	case c.DurationS < c.EpochS:
 		return fmt.Errorf("online: duration %g below one epoch %g", c.DurationS, c.EpochS)
 	}
-	if c.Incremental {
-		switch {
-		case c.Algorithm != "dmra":
-			return fmt.Errorf("online: incremental mode needs the dmra policy, got %q", c.Algorithm)
-		case c.DMRA.Rho < 0:
-			return fmt.Errorf("online: incremental mode needs rho >= 0, got %g", c.DMRA.Rho)
-		}
+	if c.Incremental && c.Algorithm != "dmra" {
+		return fmt.Errorf("online: incremental mode needs the dmra policy, got %q", c.Algorithm)
 	}
 	if _, err := alloc.ByName(c.Algorithm); err != nil {
 		return err
@@ -241,23 +236,33 @@ var ErrNoProfiles = errors.New("online: scenario has no UE profiles")
 
 // Run executes the dynamic session.
 func Run(cfg Config) (Report, error) {
-	if err := cfg.Validate(); err != nil {
+	s, err := newSession(cfg)
+	if err != nil {
 		return Report{}, err
+	}
+	return s.run()
+}
+
+// newSession validates cfg, builds the scenario and sets up a session
+// ready to run.
+func newSession(cfg Config) (*session, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	plans, ranges, err := planWorkload(cfg)
 	if err != nil {
-		return Report{}, err
+		return nil, err
 	}
 	net, err := cfg.Scenario.BuildWithDemand(cfg.Seed, ranges)
 	if err != nil {
-		return Report{}, err
+		return nil, err
 	}
 	if len(net.UEs) == 0 {
-		return Report{}, ErrNoProfiles
+		return nil, ErrNoProfiles
 	}
 	allocator, err := allocatorFor(cfg)
 	if err != nil {
-		return Report{}, err
+		return nil, err
 	}
 
 	s := &session{
@@ -271,11 +276,11 @@ func Run(cfg Config) (Report, error) {
 	}
 	if cfg.Incremental {
 		if net.Dense() == nil {
-			return Report{}, fmt.Errorf("online: incremental mode needs a dense candidate view (NewNetwork-built scenario)")
+			return nil, fmt.Errorf("online: incremental mode needs a dense candidate view (NewNetwork-built scenario)")
 		}
 		s.inc = new(engine.Incremental)
 		if err := s.inc.Begin(net, engine.Config(cfg.DMRA), 0); err != nil {
-			return Report{}, err
+			return nil, err
 		}
 	}
 	root := rng.New(cfg.Seed)
@@ -297,7 +302,7 @@ func Run(cfg Config) (Report, error) {
 		co.counters = newCohortCounters(cfg.Obs, p.name)
 		s.cohorts[i] = co
 	}
-	return s.run()
+	return s, nil
 }
 
 // cohortPlan is one cohort's resolved slice of the session: its profile
@@ -501,6 +506,10 @@ type session struct {
 	active  map[mec.UEID]placement
 
 	rep Report
+	// err is the first matching-engine failure. It ends the session: no
+	// further arrival, epoch or timeline sample is processed, and run()
+	// returns it.
+	err error
 	// timelineErr remembers the first sampler write failure; sampling
 	// stops there and run() surfaces it.
 	timelineErr error
@@ -536,6 +545,9 @@ func (s *session) run() (Report, error) {
 	// departures scheduled past it never do, so nothing mutates state or
 	// profitRate after the integrals are clamped below.
 	s.engine.RunUntil(s.cfg.DurationS)
+	if s.err != nil {
+		return Report{}, s.err
+	}
 	s.integrateTo(s.cfg.DurationS)
 
 	s.rep.Events = s.engine.Processed()
@@ -572,7 +584,7 @@ func (s *session) run() (Report, error) {
 // The first write error stops sampling (the session keeps running) and
 // is surfaced from run().
 func (s *session) sampleTimeline(every float64) {
-	if s.timelineErr != nil {
+	if s.timelineErr != nil || s.err != nil {
 		return
 	}
 	// A re-allocation epoch due at this same instant is already queued
@@ -659,7 +671,7 @@ func (s *session) integrateTo(t float64) {
 // arrival activates an inactive UE profile of the cohort and queues it
 // for the next epoch.
 func (s *session) arrival(co *cohortRun) {
-	if s.engine.Now() >= s.cfg.DurationS {
+	if s.engine.Now() >= s.cfg.DurationS || s.err != nil {
 		// An arrival at exactly the horizon is not admitted: no service
 		// time remains (see the package comment).
 		return
@@ -675,7 +687,8 @@ func (s *session) arrival(co *cohortRun) {
 		s.waiting = append(s.waiting, u)
 		if s.inc != nil {
 			if err := s.inc.Arrive(u); err != nil {
-				panic(fmt.Sprintf("online: incremental arrival: %v", err))
+				s.err = fmt.Errorf("online: incremental arrival: %w", err)
+				return
 			}
 		}
 		s.rep.Arrivals++
@@ -687,11 +700,16 @@ func (s *session) arrival(co *cohortRun) {
 
 // epoch re-runs the matching policy over the waiting UEs.
 func (s *session) epoch() {
+	if s.err != nil {
+		return
+	}
 	s.integrateTo(s.engine.Now())
 	s.rep.Epochs++
 
 	if len(s.waiting) > 0 {
-		s.match()
+		if s.err = s.match(); s.err != nil {
+			return
+		}
 	}
 	if s.cfg.RecordSeries {
 		used := 0
@@ -720,14 +738,16 @@ func (s *session) epoch() {
 // cloud fallback): a UE that loses the admission race consumes no
 // randomness, so every cohort's draw stream is independent of internal
 // race outcomes.
-func (s *session) match() {
+func (s *session) match() error {
 	s.rep.ReassignChecks += len(s.waiting)
 	if s.inc != nil {
-		s.matchIncremental()
-		return
+		return s.matchIncremental()
 	}
 
-	assignment := s.matchWaiting()
+	assignment, err := s.matchWaiting()
+	if err != nil {
+		return err
+	}
 	// Compact the survivors in place: the read cursor stays ahead of the
 	// append cursor, so reusing the waiting backing array is safe and the
 	// per-epoch stillWaiting allocation disappears.
@@ -758,6 +778,7 @@ func (s *session) match() {
 		s.scheduleDeparture(u, co.hold.Sample(co.src))
 	}
 	s.waiting = kept
+	return nil
 }
 
 // matchIncremental is match for the delta-repair mode: one Settle
@@ -768,10 +789,10 @@ func (s *session) match() {
 // ledger is authoritative and mirrors mec.State debit-for-debit, so a
 // failed Assign here is a desync bug, not an admission race; the
 // frontier always drains (admitted or cloud), so no UE stays waiting.
-func (s *session) matchIncremental() {
+func (s *session) matchIncremental() error {
 	ds, err := s.inc.Settle()
 	if err != nil {
-		panic(fmt.Sprintf("online: epoch settle: %v", err))
+		return fmt.Errorf("online: epoch settle: %w", err)
 	}
 	s.rep.DeltaFrontier += ds.Frontier
 	s.rep.DeltaReleased += ds.Released
@@ -784,7 +805,7 @@ func (s *session) matchIncremental() {
 		if bi := serving[u]; bi >= 0 {
 			b := mec.BSID(bi)
 			if err := s.state.Assign(u, b); err != nil {
-				panic(fmt.Sprintf("online: incremental ledger desync: %v", err))
+				return fmt.Errorf("online: incremental ledger desync: %w", err)
 			}
 			s.active[u] = placement{bs: b}
 			s.rep.EdgeServed++
@@ -800,6 +821,7 @@ func (s *session) matchIncremental() {
 		s.scheduleDeparture(u, co.hold.Sample(co.src))
 	}
 	s.waiting = s.waiting[:0]
+	return nil
 }
 
 // intoAllocator is the optional zero-allocation allocator fast path
@@ -816,7 +838,7 @@ type intoAllocator interface {
 // non-waiting UE on the cloud. A fully drained BS stays present with
 // zero residual capacity and rejects proposals normally, preserving
 // every waiting UE's true coverage count f_u.
-func (s *session) matchWaiting() mec.Assignment {
+func (s *session) matchWaiting() (mec.Assignment, error) {
 	sub := s.subview.Refresh(s.waiting, s.state)
 	var err error
 	if ia, ok := s.allocator.(intoAllocator); ok {
@@ -825,9 +847,9 @@ func (s *session) matchWaiting() mec.Assignment {
 		s.epochRes, err = s.allocator.Allocate(sub)
 	}
 	if err != nil {
-		panic(fmt.Sprintf("online: epoch allocation: %v", err))
+		return mec.Assignment{}, fmt.Errorf("online: epoch allocation: %w", err)
 	}
-	return s.epochRes.Assignment
+	return s.epochRes.Assignment, nil
 }
 
 // marginOf returns the per-second profit of serving UE u on BS b.

@@ -79,7 +79,9 @@ region_parity() {
 soa_parity() {
 	# The struct-of-arrays arena engine must be byte-identical to the
 	# legacy cached engine — assignments, stats, event streams, round
-	# snapshots — at any propose-worker count. Sweep the worker width
+	# snapshots — at any propose-worker count and any rho: the fuzz
+	# seeds include negative rho, which the arena's single scan propose
+	# path serves exactly like rho >= 0. Sweep the worker width
 	# race-enabled (like the wire shard sweep): workers 3 spawns real
 	# propose goroutines, so this is also the data-race gate on the
 	# parallel merge. The 50k-UE smoke run exercises the same parallel
