@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"dmra/internal/geo"
@@ -765,7 +766,7 @@ func TestAuctionEpsilonStepVariants(t *testing.T) {
 }
 
 // TestObservedArenaBatchedTraceMatchesLegacy pins the arena's batched
-// event emission against the legacy driver's one-Event-per-action path
+// event emission against the naive reference's one-Event-per-action path
 // on a run large enough to fill the event buffer mid-round: the JSONL
 // traces (Seqs included) and the per-kind counters must be identical.
 func TestObservedArenaBatchedTraceMatchesLegacy(t *testing.T) {
@@ -793,11 +794,22 @@ func TestObservedArenaBatchedTraceMatchesLegacy(t *testing.T) {
 	if total <= eventFlushLen {
 		t.Fatalf("run emitted %d events, want more than one %d-event buffer", total, eventFlushLen)
 	}
-	legacyTrace, legacyCounters, _ := run(NewDMRA(DefaultDMRAConfig()).ForceLegacy())
-	if arenaCounters != legacyCounters {
-		t.Fatalf("counters differ:\narena\n%s\nlegacy\n%s", arenaCounters, legacyCounters)
+	naiveTrace, naiveCounters, _ := run(NewDMRA(DefaultDMRAConfig()).ForceNaive())
+	if arenaCounters != naiveCounters {
+		t.Fatalf("counters differ:\narena\n%s\nnaive\n%s", arenaCounters, naiveCounters)
 	}
-	if arenaTrace != legacyTrace {
-		t.Fatal("arena JSONL trace differs from the legacy driver's")
+	if arenaTrace != naiveTrace {
+		t.Fatal("arena JSONL trace differs from the naive reference's")
+	}
+}
+
+// TestDMRANoDenseViewIsAnError pins the solver's one precondition: a
+// network without a dense candidate view (here a Network not built by
+// NewNetwork) is an error, not a fallback to a second engine.
+func TestDMRANoDenseViewIsAnError(t *testing.T) {
+	var res Result
+	err := NewDMRA(DefaultDMRAConfig()).AllocateInto(&mec.Network{}, &res)
+	if err == nil || !strings.Contains(err.Error(), "dense") {
+		t.Fatalf("AllocateInto on a dense-less network: %v", err)
 	}
 }

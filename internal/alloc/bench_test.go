@@ -87,7 +87,7 @@ func benchAllocate(b *testing.B, d *DMRA, net *mec.Network) {
 	}
 }
 
-// BenchmarkAllocate times the cached DMRA engine at three scenario
+// BenchmarkAllocate times the arena DMRA engine at three scenario
 // densities. With a nil observer the steady-state hot path must not
 // allocate (allocs/op = 0).
 func BenchmarkAllocate(b *testing.B) {
@@ -126,8 +126,8 @@ func BenchmarkAllocateNaive(b *testing.B) {
 }
 
 // TestWriteAllocBenchBaseline appends one JSON line per scenario density
-// to the file named by BENCH_BASELINE (skipped when unset): cached and
-// naive ns/op, the speedup, and cached allocs/op. Run via `make bench`.
+// to the file named by BENCH_BASELINE (skipped when unset): arena and
+// naive ns/op, the speedup, and arena allocs/op. Run via `make bench`.
 func TestWriteAllocBenchBaseline(t *testing.T) {
 	path := os.Getenv("BENCH_BASELINE")
 	if path == "" {
@@ -149,22 +149,16 @@ func TestWriteAllocBenchBaseline(t *testing.T) {
 			"allocs_op":   cached.AllocsPerOp(),
 		}
 	}
-	// The 100k rung compares the SoA arena engine against the legacy
-	// cached engine instead of the naive reference (which would need
-	// minutes per iteration at this population).
+	// The 100k rung has no naive comparison: the reference would need
+	// minutes per iteration at this population.
 	{
 		net := benchNet(t, workload.DenseCity().Scale(10))
 		soa := testing.Benchmark(func(b *testing.B) {
 			benchAllocate(b, NewDMRA(DefaultDMRAConfig()), net)
 		})
-		legacy := testing.Benchmark(func(b *testing.B) {
-			benchAllocate(b, NewDMRA(DefaultDMRAConfig()).ForceLegacy(), net)
-		})
 		cases["densecity-100k"] = map[string]any{
-			"ns_op":        soa.NsPerOp(),
-			"legacy_ns_op": legacy.NsPerOp(),
-			"speedup":      float64(legacy.NsPerOp()) / float64(soa.NsPerOp()),
-			"allocs_op":    soa.AllocsPerOp(),
+			"ns_op":     soa.NsPerOp(),
+			"allocs_op": soa.AllocsPerOp(),
 		}
 		observed := testing.Benchmark(func(b *testing.B) {
 			benchAllocate(b, observedDMRA(), net)

@@ -6,10 +6,6 @@ import (
 	"dmra/internal/mec"
 )
 
-// The PrefScorer differential tests moved with the scorer to
-// internal/engine; this file keeps the candidate-set regression coverage
-// of the naive reference path.
-
 // TestCandidateSetDropIdxNoAliasing is the regression test for the splice
 // bug: dropIdx used to append in place, shifting elements inside the
 // backing array that earlier remaining-slice snapshots still aliased.

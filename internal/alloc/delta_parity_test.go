@@ -16,17 +16,17 @@ import (
 )
 
 // deltaHarness drives the incremental engine and the from-scratch
-// comparator (mec.State + SubView + the legacy pointer engine — the
-// exact epoch path of the online session's default mode) through one
-// identical churn sequence, comparing after every epoch.
+// comparator (mec.State + SubView + the naive reference, which reads the
+// network's live UE demands) through one identical churn sequence,
+// comparing after every epoch.
 type deltaHarness struct {
-	t      *testing.T
-	net    *mec.Network
-	state  *mec.State
-	sub    *mec.SubView
-	legacy *alloc.DMRA
-	res    alloc.Result
-	inc    *engine.Incremental
+	t     *testing.T
+	net   *mec.Network
+	state *mec.State
+	sub   *mec.SubView
+	naive *alloc.DMRA
+	res   alloc.Result
+	inc   *engine.Incremental
 
 	// Session-mirroring population state: every UE is in exactly one of
 	// inactive, waiting, or active (active splits into edge — assigned
@@ -39,12 +39,12 @@ type deltaHarness struct {
 func newDeltaHarness(t *testing.T, net *mec.Network, dcfg alloc.DMRAConfig, workers int) *deltaHarness {
 	t.Helper()
 	h := &deltaHarness{
-		t:      t,
-		net:    net,
-		state:  mec.NewState(net),
-		sub:    net.NewSubView(),
-		legacy: alloc.NewDMRA(dcfg).ForceLegacy(),
-		inc:    new(engine.Incremental),
+		t:     t,
+		net:   net,
+		state: mec.NewState(net),
+		sub:   net.NewSubView(),
+		naive: alloc.NewDMRA(dcfg).ForceNaive(),
+		inc:   new(engine.Incremental),
 	}
 	if err := h.inc.Begin(net, engine.Config(dcfg), workers); err != nil {
 		t.Fatalf("Begin: %v", err)
@@ -128,7 +128,7 @@ func (h *deltaHarness) epoch() {
 		t.Fatalf("Settle: %v", err)
 	}
 	sub := h.sub.Refresh(h.waiting, h.state)
-	if err := h.legacy.AllocateInto(sub, &h.res); err != nil {
+	if err := h.naive.AllocateInto(sub, &h.res); err != nil {
 		t.Fatalf("from-scratch allocate: %v", err)
 	}
 	if ds.Proposals != h.res.Stats.Proposals || ds.Accepts != h.res.Stats.Accepts ||

@@ -10,14 +10,6 @@ func GenScenarioForTest(seed uint64) workload.Config { return fuzzScenario(seed)
 // ForceNaive switches d to the reference implementation (full Eq. 17 sweep
 // per proposal, fresh buffers per round) and returns d for chaining.
 func (d *DMRA) ForceNaive() *DMRA {
-	d.naive = true
-	return d
-}
-
-// ForceLegacy switches d to the pointer-based cached engine even when the
-// network has a dense SoA view, and returns d for chaining. The SoA
-// differential fuzz target pins the arena engine against it.
-func (d *DMRA) ForceLegacy() *DMRA {
-	d.legacy = true
+	d.naive = d.allocateNaive
 	return d
 }

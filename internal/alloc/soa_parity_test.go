@@ -1,7 +1,7 @@
 // Differential tests pinning the struct-of-arrays arena engine to the
-// pointer-based cached engine: identical assignments, statistics,
-// ordered event streams, and per-round snapshots, at every propose
-// worker count. In package alloc_test so it can drive internal/protocol
+// naive reference: identical assignments, statistics, ordered event
+// streams, and per-round snapshots, at every propose worker count, on
+// full networks and on SubView epochs. In package alloc_test so it can drive internal/protocol
 // (which imports alloc) for the cross-runtime event comparison.
 package alloc_test
 
@@ -85,8 +85,8 @@ func compareRuns(t *testing.T, label string,
 	}
 }
 
-// TestSoAParity pins the SoA arena engine against the legacy cached
-// engine on a spread of scenario seeds, at every swept worker count:
+// TestSoAParity pins the SoA arena engine against the naive reference
+// on a spread of scenario seeds, at every swept worker count:
 // assignments, statistics, ordered event streams, and round snapshots
 // must be byte-identical. Race-enabled runs of this test (check.sh's
 // soa-parity gate at workers 3) double as the data-race gate on the
@@ -101,11 +101,11 @@ func TestSoAParity(t *testing.T) {
 			t.Fatalf("seed %d: NewNetwork-built scenario has no dense view", seed)
 		}
 		dcfg := alloc.DefaultDMRAConfig()
-		legacyRes, legacyEvents, legacySnaps := soaRun(t, alloc.NewDMRA(dcfg).ForceLegacy(), net)
+		naiveRes, naiveEvents, naiveSnaps := soaRun(t, alloc.NewDMRA(dcfg).ForceNaive(), net)
 		for _, workers := range soaTestWorkers() {
 			res, events, snaps := soaRun(t, alloc.NewDMRA(dcfg).WithProposeWorkers(workers), net)
 			compareRuns(t, "seed "+strconv.FormatUint(seed, 10)+" workers "+strconv.Itoa(workers),
-				res, events, snaps, legacyRes, legacyEvents, legacySnaps)
+				res, events, snaps, naiveRes, naiveEvents, naiveSnaps)
 		}
 	}
 }
@@ -156,19 +156,18 @@ func TestSoASmoke50k(t *testing.T) {
 	if serial.Stats.Accepts == 0 {
 		t.Fatal("50k scenario matched nothing; smoke is vacuous")
 	}
-	// Pin the arena's scan propose path to the legacy lazy-heap engine at
-	// a population where the two accounting schemes diverge the most.
-	legacy, err := alloc.NewDMRA(dcfg).ForceLegacy().Allocate(net)
+	// Pin the arena to the naive reference at benchmark-like scale.
+	naive, err := alloc.NewDMRA(dcfg).ForceNaive().Allocate(net)
 	if err != nil {
-		t.Fatalf("legacy allocate: %v", err)
+		t.Fatalf("naive allocate: %v", err)
 	}
-	if legacy.Stats != serial.Stats {
-		t.Fatalf("scan stats diverge from legacy: %+v vs %+v", serial.Stats, legacy.Stats)
+	if naive.Stats != serial.Stats {
+		t.Fatalf("arena stats diverge from naive: %+v vs %+v", serial.Stats, naive.Stats)
 	}
-	for u := range legacy.Assignment.ServingBS {
-		if legacy.Assignment.ServingBS[u] != serial.Assignment.ServingBS[u] {
-			t.Fatalf("UE %d: scan %d vs legacy %d", u,
-				serial.Assignment.ServingBS[u], legacy.Assignment.ServingBS[u])
+	for u := range naive.Assignment.ServingBS {
+		if naive.Assignment.ServingBS[u] != serial.Assignment.ServingBS[u] {
+			t.Fatalf("UE %d: arena %d vs naive %d", u,
+				serial.Assignment.ServingBS[u], naive.Assignment.ServingBS[u])
 		}
 	}
 	for _, workers := range soaTestWorkers() {
@@ -191,14 +190,51 @@ func TestSoASmoke50k(t *testing.T) {
 	}
 }
 
+// drainedEpoch turns net into an online-style epoch network: a SubView
+// refreshed over a seed-chosen subset of UEs, against a ledger that
+// earlier grants have drained. A quarter of the UEs are granted greedily
+// (first servable candidate, ascending UE order), which fills low-ID BSs
+// to exhaustion; half the population is active and the last quarter
+// stays inactive. The view is first refreshed over the whole population
+// and densified, so the real refresh reuses larger buffers, as an online
+// session's does.
+func drainedEpoch(net *mec.Network, seed uint64) *mec.Network {
+	state := mec.NewState(net)
+	var active []mec.UEID
+	for u := range net.UEs {
+		uid := mec.UEID(u)
+		switch (uint64(u)*2654435761 + seed) % 4 {
+		case 0:
+			for _, l := range net.Candidates(uid) {
+				if state.CanServe(uid, l.BS) {
+					if err := state.Assign(uid, l.BS); err != nil {
+						panic(err)
+					}
+					break
+				}
+			}
+		case 1, 2:
+			active = append(active, uid)
+		}
+	}
+	sv := net.NewSubView()
+	all := make([]mec.UEID, len(net.UEs))
+	for u := range all {
+		all[u] = mec.UEID(u)
+	}
+	sv.Refresh(all, mec.NewState(net)).Dense()
+	return sv.Refresh(active, state)
+}
+
 // FuzzSoAParity is the SoA differential fuzz gate: on random scenarios,
 // configurations, and propose-worker counts, the arena engine must match
-// the legacy cached engine byte for byte — assignment, statistics,
-// ordered event stream, round snapshots — and the message-passing
-// protocol runtime must emit the same event stream as the SoA solver
-// (the wire runtime is pinned to the protocol stream, with seed-derived
-// SoA worker counts on its solver side, by FuzzEngineParity in
-// internal/wire — closing the three-runtime loop).
+// the naive reference byte for byte — assignment, statistics, ordered
+// event stream, round snapshots — on the full network or (flags bit 2)
+// on a drained SubView epoch, and the message-passing protocol runtime
+// must reproduce the arena's outcome (the wire runtime is pinned to the
+// protocol stream, with seed-derived SoA worker counts on its solver
+// side, by FuzzEngineParity in internal/wire — closing the three-runtime
+// loop).
 func FuzzSoAParity(f *testing.F) {
 	f.Add(uint64(1), int16(250), uint8(0), uint8(1))
 	f.Add(uint64(7), int16(0), uint8(1), uint8(3))
@@ -207,10 +243,23 @@ func FuzzSoAParity(f *testing.F) {
 	f.Add(uint64(99), int16(31), uint8(0), uint8(0))
 	f.Add(uint64(42), int16(-1600), uint8(0), uint8(2))
 	f.Add(uint64(7), int16(-16), uint8(1), uint8(3))
+	f.Add(uint64(1), int16(250), uint8(4), uint8(1))
+	f.Add(uint64(42), int16(777), uint8(6), uint8(3))
+	f.Add(uint64(99), int16(-160), uint8(5), uint8(2))
+	f.Add(uint64(1234), int16(0), uint8(7), uint8(8))
 	f.Fuzz(func(t *testing.T, seed uint64, rhoRaw int16, flags, workersRaw uint8) {
-		net, err := alloc.GenScenarioForTest(seed).Build(seed)
+		wl := alloc.GenScenarioForTest(seed)
+		if flags&4 != 0 {
+			// Small CRU pools, so the earlier grants drain BSs and the
+			// epoch's UEs contend for what is left.
+			wl.CRUCapMin, wl.CRUCapMax = 6, 16
+		}
+		net, err := wl.Build(seed)
 		if err != nil {
 			t.Skip() // generator can produce shapes Build rejects; not under test
+		}
+		if flags&4 != 0 {
+			net = drainedEpoch(net, seed)
 		}
 		workers := 1 + int(workersRaw%8)
 		dcfg := alloc.DMRAConfig{
@@ -219,9 +268,9 @@ func FuzzSoAParity(f *testing.F) {
 			FuTieBreak: flags&2 == 0,
 		}
 
-		legacyRes, legacyEvents, legacySnaps := soaRun(t, alloc.NewDMRA(dcfg).ForceLegacy(), net)
+		naiveRes, naiveEvents, naiveSnaps := soaRun(t, alloc.NewDMRA(dcfg).ForceNaive(), net)
 		soaRes, soaEvents, soaSnaps := soaRun(t, alloc.NewDMRA(dcfg).WithProposeWorkers(workers), net)
-		compareRuns(t, "soa vs legacy", soaRes, soaEvents, soaSnaps, legacyRes, legacyEvents, legacySnaps)
+		compareRuns(t, "soa vs naive", soaRes, soaEvents, soaSnaps, naiveRes, naiveEvents, naiveSnaps)
 
 		// Cross-runtime: the message-passing protocol must reproduce the SoA
 		// solver's assignment and round/request/verdict counters exactly.

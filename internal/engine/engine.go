@@ -2,22 +2,25 @@
 // shared by every runtime. It owns the four decisions the paper's rounds
 // are made of:
 //
-//   - the Eq. 17 preference ordering a UE proposes by (Config.Preference,
-//     cached incrementally by PrefScorer, driven by Proposer);
+//   - the Eq. 17 propose step: drop the candidates that can no longer fit,
+//     then take the (Config.Preference, candidate index) minimum of the
+//     rest. One scan in two layouts — Arena over the dense mec.CSR view,
+//     Proposer over UE-local ResidualViews;
 //   - the BS-side per-service selection with the full tie-break chain
 //     (same-SP, smallest f_u, smallest footprint, lowest UE ID);
 //   - the strict Alg. 1 lines 22-25 prefix trim against the radio budget
 //     (Config.SelectRound over a Ledger);
-//   - the broadcast-driven view/version bookkeeping that keeps UE-local
-//     resource pictures and the preference cache coherent (ViewTable).
+//   - the broadcast-driven bookkeeping of UE-local resource pictures
+//     (ViewTable).
 //
 // The runtimes are thin drivers over these pieces and differ only in how
-// messages move: internal/alloc runs the rounds synchronously against the
-// shared mec.State ledger, internal/protocol delivers them as
-// discrete-event messages between agents, and internal/wire frames them
-// over TCP to per-BS server processes. Because every decision routes
-// through this one package, the three produce bit-identical matchings —
-// an equivalence the parity and fuzz tests in internal/wire assert.
+// messages move: internal/alloc runs the rounds synchronously on an Arena
+// (and online delta repair on an Incremental), internal/protocol delivers
+// them as discrete-event messages between agents, and internal/wire
+// frames them over TCP to per-BS server processes. Because every decision
+// routes through this one package, the three produce bit-identical
+// matchings — an equivalence the parity and fuzz tests in internal/alloc
+// and internal/wire assert against alloc's test-only naive reference.
 package engine
 
 import (

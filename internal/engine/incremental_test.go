@@ -146,13 +146,11 @@ func TestIncrementalSetDemand(t *testing.T) {
 }
 
 // TestIncrementalBeginRejects pins the mode's one precondition: a dense
-// candidate view.
+// candidate view, which a Network not built by NewNetwork lacks.
 func TestIncrementalBeginRejects(t *testing.T) {
-	net := buildIncNet(t, 3)
 	var inc engine.Incremental
-	sub := net.NewSubView().Refresh(nil, mec.NewState(net))
-	if err := inc.Begin(sub, engine.DefaultConfig(), 1); err == nil || !strings.Contains(err.Error(), "dense") {
-		t.Fatalf("dense-less SubView accepted: %v", err)
+	if err := inc.Begin(&mec.Network{}, engine.DefaultConfig(), 1); err == nil || !strings.Contains(err.Error(), "dense") {
+		t.Fatalf("dense-less network accepted: %v", err)
 	}
 }
 

@@ -9,12 +9,12 @@ import (
 )
 
 // This file is the struct-of-arrays round engine: the same Alg. 1 state
-// machine as Proposer/PrefScorer/SelectRound, re-laid-out for the
-// million-UE regime. The per-UE alive-candidate lists, the BS ledger, and
-// every round buffer live in a handful of flat arrays inside an Arena
-// that is reset — not reallocated — across runs, so a steady-state run
-// performs zero heap allocations and walks memory sequentially instead of
-// chasing a pointer per UE and another per candidate list.
+// machine as Proposer/SelectRound, laid out over the dense CSR view for
+// the million-UE regime. The per-UE alive-candidate lists, the BS ledger,
+// and every round buffer live in a handful of flat arrays inside an
+// Arena that is reset — not reallocated — across runs, so a steady-state
+// run performs zero heap allocations and walks memory sequentially
+// instead of chasing a pointer per UE and another per candidate list.
 //
 // The propose phase optionally fans across workers. That is safe and
 // exactly deterministic because of how Alg. 1 rounds are structured:
@@ -68,7 +68,7 @@ type SoAHooks struct {
 }
 
 // SoAStats are the run counters of an Arena run, matching the meaning of
-// the legacy driver's statistics exactly.
+// the naive reference's statistics exactly.
 type SoAStats struct {
 	Rounds    int
 	Proposals int
@@ -117,8 +117,7 @@ type Arena struct {
 	run    uint32
 
 	// pending holds the UEs that can still propose, ascending; each
-	// round it compacts to the UEs that proposed (exactly the legacy
-	// driver's pending-list discipline).
+	// round it compacts to the UEs that proposed.
 	pending []int32
 	// props collects the round's proposals: workers fill disjoint
 	// chunks, the merge compacts them to props[:nprops] in UE order.
@@ -129,7 +128,6 @@ type Arena struct {
 	// serially after the join so totals are worker-count independent.
 	wcnt  []int32
 	wscan []uint64
-	wresc []uint64
 	wg    sync.WaitGroup
 
 	// Select-phase scratch: counting-sort of proposals by BS (bsCnt,
@@ -145,8 +143,8 @@ type Arena struct {
 	invCRU []int32
 	invRRB []int32
 
-	snap              *Snapshot
-	scanned, rescored uint64
+	snap    *Snapshot
+	scanned uint64
 }
 
 // grown returns s resized to n elements, reusing capacity when it
@@ -229,7 +227,7 @@ func (a *Arena) reset(csr *mec.CSR, cfg Config) {
 	a.cfg = cfg
 	a.cru = csr.CRU
 	a.led.a = a
-	a.scanned, a.rescored = 0, 0
+	a.scanned = 0
 	a.nprops = 0
 	nUE, nBS, links := csr.UEs(), csr.BSs(), csr.Links()
 
@@ -304,7 +302,6 @@ func (a *Arena) proposeRound(workers int) int {
 	}
 	a.wcnt = grown(a.wcnt, workers)
 	a.wscan = grown(a.wscan, workers)
-	a.wresc = grown(a.wresc, workers)
 	chunk := (n + workers - 1) / workers
 	if workers == 1 {
 		a.proposeWorker(0, 0, n)
@@ -328,12 +325,11 @@ func (a *Arena) proposeRound(workers int) int {
 			out += c
 		}
 		a.scanned += a.wscan[w]
-		a.rescored += a.wresc[w]
 	}
 	a.nprops = out
 	// Next round's pending list is exactly this round's proposers: a UE
 	// leaves on assignment (checked at propose time) or on candidate
-	// exhaustion (it stopped proposing), matching the legacy driver.
+	// exhaustion (it stopped proposing).
 	a.pending = a.pending[:out]
 	for i := 0; i < out; i++ {
 		a.pending[i] = a.props[i].ue
@@ -349,13 +345,11 @@ func (a *Arena) proposeWorkerWG(w, lo, hi int) {
 // proposeWorker proposes for pending[lo:hi], writing proposals into the
 // props chunk starting at lo and its counters into slot w. It reads the
 // ledger and the assigned bitset but writes only UE-local candidate
-// state and its own output slots. The counters are what PrefCacheRound
-// reports: scanned is the candidates visited (what a naive Eq. 17 sweep
-// would score), rescored the Eq. 17 evaluations actually run — every
-// visited candidate that survived the feasibility drop.
+// state and its own output slots. scanned counts the candidates
+// visited.
 func (a *Arena) proposeWorker(w, lo, hi int) {
 	var cnt int32
-	var scanned, rescored uint64
+	var scanned uint64
 	props, pending := a.props, a.pending
 	for i := lo; i < hi; i++ {
 		u := pending[i]
@@ -367,7 +361,6 @@ func (a *Arena) proposeWorker(w, lo, hi int) {
 		}
 		scanned += uint64(a.hlen[u])
 		g, ok := a.proposeUEScan(u)
-		rescored += uint64(a.hlen[u])
 		if ok {
 			props[lo+int(cnt)] = soaProposal{ue: u, g: g}
 			cnt++
@@ -375,7 +368,6 @@ func (a *Arena) proposeWorker(w, lo, hi int) {
 	}
 	a.wcnt[w] = cnt
 	a.wscan[w] = scanned
-	a.wresc[w] = rescored
 }
 
 // proposeUEScan is Proposer.Propose over the flat arena (Alg. 1 lines
@@ -426,14 +418,16 @@ func (a *Arena) proposeUEScan(u int32) (int32, bool) {
 	return base + best, true
 }
 
-// soaLess is prefLess over the flattened entry fields.
+// soaLess orders (preference, candidate index) pairs lexicographically:
+// the index tie-break reproduces the naive first-strictly-less sweep in
+// candidate order, which keeps the lowest-index minimum.
 func soaLess(v1 float64, k1 int32, v2 float64, k2 int32) bool {
 	return v1 < v2 || (v1 == v2 && k1 < k2)
 }
 
 // emitProposeEvents walks the whole population in ascending UE order and
 // fires Propose for this round's proposers and Cloud for every other
-// unassigned UE — the event order the observed legacy path and the
+// unassigned UE — the event order the naive reference and the
 // message-passing runtimes produce.
 func (a *Arena) emitProposeEvents(hooks *SoAHooks) {
 	nUE := int32(a.csr.UEs())
@@ -605,10 +599,6 @@ func (a *Arena) RemRRB(b int) int { return int(a.remRRB[b]) }
 // AssignedCount returns the number of served UEs.
 func (a *Arena) AssignedCount() int { return a.assigned.Count() }
 
-// CacheStats returns the cumulative candidates visited and Eq. 17
-// evaluations run, the same meaning as PrefScorer.CacheStats. The arena
-// has no preference cache: the gap between the two is only the visited
-// candidates dropped as infeasible before scoring.
-func (a *Arena) CacheStats() (scanned, rescored uint64) {
-	return a.scanned, a.rescored
-}
+// Scanned returns the cumulative candidates visited by the propose
+// phase, the same meaning as Proposer.Scanned.
+func (a *Arena) Scanned() uint64 { return a.scanned }

@@ -8,19 +8,14 @@ type bsView struct {
 	remRRB int
 }
 
-// ViewTable holds the UE-local resource views and per-BS broadcast
-// version counters of a message-passing run. Initial views come from the
-// deployment-time capacity announcement (Alg. 1 assumes B_u and
-// capacities known); afterwards a UE learns only through the
-// ResourceBroadcast messages of Alg. 1 line 26, applied via
-// ApplyBroadcast. The version counters are what the PrefScorer keys its
-// cache on: a BS's cached Eq. 17 score is re-evaluated only after a new
-// broadcast has been applied.
+// ViewTable holds the UE-local resource views of a message-passing run.
+// Initial views come from the deployment-time capacity announcement
+// (Alg. 1 assumes B_u and capacities known); afterwards a UE learns only
+// through the ResourceBroadcast messages of Alg. 1 line 26, applied via
+// ApplyBroadcast.
 type ViewTable struct {
 	// views[u][b] mirrors candidate BS b's resources as last broadcast.
 	views []map[mec.BSID]*bsView
-	// vers[b] counts applied broadcasts of BS b.
-	vers []uint64
 	// covered[b] lists the UEs that can hear BS b's broadcasts.
 	covered [][]mec.UEID
 }
@@ -29,7 +24,6 @@ type ViewTable struct {
 func NewViewTable(net *mec.Network) *ViewTable {
 	t := &ViewTable{
 		views:   make([]map[mec.BSID]*bsView, len(net.UEs)),
-		vers:    make([]uint64, len(net.BSs)),
 		covered: make([][]mec.UEID, len(net.BSs)),
 	}
 	for u := range net.UEs {
@@ -53,11 +47,9 @@ func NewViewTable(net *mec.Network) *ViewTable {
 func (t *ViewTable) Covered(b mec.BSID) []mec.UEID { return t.covered[b] }
 
 // ApplyBroadcast updates the receivers' views of BS b to the broadcast
-// resources and bumps b's version counter. Receivers is the subset of
-// Covered(b) whose reception succeeded; the version advances regardless,
-// which is conservative under loss — a UE that missed the reception
-// re-scores its unchanged view, a wasted but correct evaluation, never a
-// stale result.
+// resources. Receivers is the subset of Covered(b) whose reception
+// succeeded; a UE that missed it keeps its older, larger view until a
+// later broadcast reaches it.
 func (t *ViewTable) ApplyBroadcast(b mec.BSID, remCRU []int, remRRBs int, receivers []mec.UEID) {
 	for _, u := range receivers {
 		if v, ok := t.views[u][b]; ok {
@@ -65,7 +57,6 @@ func (t *ViewTable) ApplyBroadcast(b mec.BSID, remCRU []int, remRRBs int, receiv
 			v.remRRB = remRRBs
 		}
 	}
-	t.vers[b]++
 }
 
 // UE returns UE u's ResidualView over the table. Store the value and pass
@@ -74,7 +65,7 @@ func (t *ViewTable) ApplyBroadcast(b mec.BSID, remCRU []int, remRRBs int, receiv
 func (t *ViewTable) UE(u mec.UEID) UEView { return UEView{t: t, u: u} }
 
 // UEView adapts one UE's slice of a ViewTable to the ResidualView the
-// preference cache scores against.
+// Proposer scores against.
 type UEView struct {
 	t *ViewTable
 	u mec.UEID
@@ -85,6 +76,3 @@ func (v *UEView) Residual(b mec.BSID, j mec.ServiceID) (remCRU, remRRBs int) {
 	bv := v.t.views[v.u][b]
 	return bv.remCRU[j], bv.remRRB
 }
-
-// ResidualVersion implements ResidualView.
-func (v *UEView) ResidualVersion(b mec.BSID) uint64 { return v.t.vers[b] }

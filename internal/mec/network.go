@@ -50,7 +50,8 @@ type Network struct {
 	// coverCount[u] is f_u: how many BSs cover u and host its service.
 	coverCount []int
 	// dense lazily carries the struct-of-arrays candidate view (see
-	// soa.go). Only NewNetwork-built networks are eligible.
+	// soa.go). Only NewNetwork-built networks and their SubViews have
+	// one.
 	dense csrState
 }
 

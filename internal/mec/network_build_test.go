@@ -148,7 +148,7 @@ func TestLinkBinarySearchMatchesScan(t *testing.T) {
 }
 
 // TestStateResetReuse checks that Reset over the same network rewinds the
-// ledger without reallocating, and that version counters track mutations.
+// ledger without reallocating.
 func TestStateResetReuse(t *testing.T) {
 	net := randomScenario(t, 21, 50, 8, false)
 	s := NewState(net)
@@ -164,28 +164,16 @@ func TestStateResetReuse(t *testing.T) {
 	if !found {
 		t.Fatal("no candidate links in scenario")
 	}
-	if s.ResidualVersion(b) != 0 {
-		t.Fatalf("fresh state version = %d, want 0", s.ResidualVersion(b))
-	}
 	if err := s.Assign(u, b); err != nil {
 		t.Fatalf("Assign: %v", err)
-	}
-	if s.ResidualVersion(b) != 1 {
-		t.Fatalf("version after Assign = %d, want 1", s.ResidualVersion(b))
 	}
 	cru, rrb := s.Residual(b, net.UEs[u].Service)
 	if cru != s.RemainingCRU(b, net.UEs[u].Service) || rrb != s.RemainingRRBs(b) {
 		t.Fatal("Residual disagrees with RemainingCRU/RemainingRRBs")
 	}
 	s.Unassign(u)
-	if s.ResidualVersion(b) != 2 {
-		t.Fatalf("version after Unassign = %d, want 2", s.ResidualVersion(b))
-	}
 
 	s.Reset(net)
-	if s.ResidualVersion(b) != 0 {
-		t.Fatalf("version after Reset = %d, want 0", s.ResidualVersion(b))
-	}
 	fresh := NewState(net)
 	for bb := range net.BSs {
 		for j := 0; j < net.Services; j++ {

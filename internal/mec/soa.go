@@ -17,7 +17,9 @@ import (
 // A CSR is derived once per Network (lazily, under a sync.Once) and is
 // immutable; it aliases nothing mutable, so it is safe for any number of
 // concurrent readers — including the parallel propose workers of
-// internal/engine.
+// internal/engine. A SubView's CSR is the exception: it is rebuilt in
+// place after each Refresh (see SubView), so it is immutable only until
+// the next one.
 type CSR struct {
 	// Off[u]..Off[u+1] delimit UE u's candidates in the flat arrays below.
 	// len(Off) == UEs+1; Off[UEs] is the total candidate-link count.
@@ -37,8 +39,8 @@ type CSR struct {
 
 	// Per-BS arrays. CRUCap is Services-strided: CRUCap[b*Services+j] is
 	// c_{b,j}.
-	CRUCap  []int32
-	MaxRRB  []int32
+	CRUCap   []int32
+	MaxRRB   []int32
 	Services int
 
 	// Lazily built inverted index (see CoverIndex).
@@ -157,29 +159,33 @@ func buildCSR(net *Network) *CSR {
 	return c
 }
 
-// csrState carries the lazily built dense view of a Network. Only
-// NewNetwork-built networks get one: a SubView's Network re-aliases its
-// link slices on every Refresh, so a cached flat copy would go stale —
-// Dense returns nil there and allocators fall back to the pointer-based
-// engine, whose per-epoch cost is proportional to the active set anyway.
+// csrState carries the lazily built dense view of a Network.
+// NewNetwork-built networks (eligible) build theirs once. A SubView's
+// Network points back at its SubView instead, whose candidate windows
+// change on every Refresh: its view is rebuilt by the first Dense call
+// after each Refresh, so sessions that never ask for it pay nothing.
 type csrState struct {
 	eligible bool
 	once     sync.Once
 	csr      *CSR
+	sub      *SubView
 }
 
 // Dense returns the network's struct-of-arrays candidate view, building
-// it on first use, or nil for networks whose candidate lists can change
-// (SubView sessions). The returned CSR is immutable and safe for
-// concurrent readers.
+// it on first use. It is nil for a Network not built by NewNetwork, for
+// one too large for int32 candidate indices (over ~2.1e9 links, far past
+// the million-UE target), and for a SubView of such a network. A
+// NewNetwork-built network's CSR is immutable and safe for concurrent
+// readers; a SubView's is valid until the next Refresh, and its first
+// Dense call after a Refresh must not race another.
 func (n *Network) Dense() *CSR {
+	if n.dense.sub != nil {
+		return n.dense.sub.dense()
+	}
 	if !n.dense.eligible {
 		return nil
 	}
 	n.dense.once.Do(func() {
-		// int32 candidate indices cap the flat layout at ~2.1e9 links;
-		// beyond that (far past the million-UE target) the pointer engine
-		// still works, so degrade instead of overflowing.
 		if n.TotalCandidateLinks() <= math.MaxInt32 {
 			n.dense.csr = buildCSR(n)
 		}

@@ -56,13 +56,6 @@ type State struct {
 	remCRU [][]int
 	// remRRB[b] is N_b minus RRBs already granted.
 	remRRB []int
-	// version[b] counts residual mutations of BS b (grants and releases).
-	// Preference caches compare it against the version they scored at to
-	// skip re-evaluating Eq. 17 for BSs that did not change. One counter
-	// per BS is the exact granularity: every grant debits the RRB pool,
-	// which enters every service's Eq. 17 denominator, so a per-service
-	// split could never mark fewer UEs stale.
-	version []uint64
 	// assignment is the current partial matching.
 	assignment Assignment
 	// rrbsUsed[u] records the RRBs granted to UE u (for release).
@@ -91,7 +84,6 @@ func (s *State) Reset(net *Network) {
 	if len(s.remCRU) != len(net.BSs) {
 		s.remCRU = make([][]int, len(net.BSs))
 		s.remRRB = make([]int, len(net.BSs))
-		s.version = make([]uint64, len(net.BSs))
 	}
 	for b := range net.BSs {
 		caps := net.BSs[b].CRUCapacity
@@ -100,7 +92,6 @@ func (s *State) Reset(net *Network) {
 		}
 		copy(s.remCRU[b], caps)
 		s.remRRB[b] = net.BSs[b].MaxRRBs
-		s.version[b] = 0
 	}
 	if len(s.rrbsUsed) != len(net.UEs) {
 		s.assignment = NewAssignment(len(net.UEs))
@@ -130,14 +121,6 @@ func (s *State) RemainingRRBs(b BSID) int {
 // in one call — the two Eq. 17 inputs that change during matching.
 func (s *State) Residual(b BSID, j ServiceID) (remCRU, remRRBs int) {
 	return s.remCRU[b][j], s.remRRB[b]
-}
-
-// ResidualVersion returns the mutation counter of BS b's residuals. It
-// starts at 0 and increments on every grant or release touching b, so a
-// cached Eq. 17 score is current iff the version it was computed at still
-// matches.
-func (s *State) ResidualVersion(b BSID) uint64 {
-	return s.version[b]
 }
 
 // ServingBS returns the BS currently serving UE u, or CloudBS.
@@ -193,7 +176,6 @@ func (s *State) Assign(u UEID, b BSID) error {
 	s.remRRB[b] -= l.RRBs
 	s.assignment.ServingBS[u] = b
 	s.rrbsUsed[u] = l.RRBs
-	s.version[b]++
 	return nil
 }
 
@@ -210,7 +192,6 @@ func (s *State) Unassign(u UEID) {
 	s.remRRB[b] += s.rrbsUsed[u]
 	s.rrbsUsed[u] = 0
 	s.assignment.ServingBS[u] = CloudBS
-	s.version[b]++
 }
 
 // Snapshot returns a copy of the current assignment.

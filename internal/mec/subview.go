@@ -27,12 +27,21 @@ func NetworkBuilds() int64 { return networkBuilds.Load() }
 // rejects normally — which NewNetwork's validation would forbid; the
 // SubView bypasses validation because the parent already validated the
 // scenario and residuals are invariant-checked by the ledger.
+//
+// The view's Network has a dense CSR like its parent, built by the first
+// Dense call after each Refresh: the per-UE arrays alias the parent's
+// CSR, the per-candidate arrays hold copies of the active UEs' windows
+// (inactive UEs get empty ones), and the BS rows are the refreshed
+// residuals.
 type SubView struct {
 	parent *Network
 	net    Network
 	bss    []BS
 	caps   [][]int
 	links  [][]Link
+	// csr is the dense view, current only while stale is false.
+	csr   *CSR
+	stale bool
 }
 
 // NewSubView prepares a reusable sub-view of n. The returned SubView is
@@ -59,6 +68,7 @@ func (n *Network) NewSubView() *SubView {
 		Pricing:    n.Pricing,
 		links:      sv.links,
 		coverCount: n.coverCount,
+		dense:      csrState{sub: sv},
 	}
 	return sv
 }
@@ -83,5 +93,73 @@ func (sv *SubView) Refresh(active []UEID, res *State) *Network {
 	for _, u := range active {
 		sv.links[u] = sv.parent.links[u]
 	}
+	sv.stale = true
 	return &sv.net
+}
+
+// dense returns the view's CSR, rebuilding it in place after a Refresh.
+// It reuses the previous build's arrays, so a session's steady state
+// allocates nothing here; the fresh CSR value also drops the previous
+// refresh's CoverIndex.
+func (sv *SubView) dense() *CSR {
+	if !sv.stale {
+		return sv.csr
+	}
+	sv.stale = false
+	p := sv.parent.Dense()
+	if p == nil {
+		sv.csr = nil
+		return nil
+	}
+	if sv.csr == nil {
+		sv.csr = new(CSR)
+	}
+	c := sv.csr
+	nUE, total := len(sv.links), 0
+	for _, ls := range sv.links {
+		total += len(ls)
+	}
+	*c = CSR{
+		Off:      resized(c.Off, nUE+1),
+		BS:       resized(c.BS, total),
+		RRBs:     resized(c.RRBs, total),
+		Price:    resized(c.Price, total),
+		SameSP:   resized(c.SameSP, total),
+		Service:  p.Service,
+		CRU:      p.CRU,
+		Fu:       p.Fu,
+		CRUCap:   resized(c.CRUCap, len(p.CRUCap)),
+		MaxRRB:   resized(c.MaxRRB, len(p.MaxRRB)),
+		Services: p.Services,
+	}
+	pos := int32(0)
+	for u, ls := range sv.links {
+		c.Off[u] = pos
+		if len(ls) == 0 {
+			continue
+		}
+		lo, hi := p.Off[u], p.Off[u+1]
+		copy(c.BS[pos:], p.BS[lo:hi])
+		copy(c.RRBs[pos:], p.RRBs[lo:hi])
+		copy(c.Price[pos:], p.Price[lo:hi])
+		copy(c.SameSP[pos:], p.SameSP[lo:hi])
+		pos += hi - lo
+	}
+	c.Off[nUE] = pos
+	for b := range sv.bss {
+		for j, cap := range sv.caps[b] {
+			c.CRUCap[b*c.Services+j] = int32(cap)
+		}
+		c.MaxRRB[b] = int32(sv.bss[b].MaxRRBs)
+	}
+	return c
+}
+
+// resized returns s with length n, reusing its capacity when it
+// suffices. Contents are unspecified; callers overwrite.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -480,7 +480,8 @@ type session struct {
 	allocator alloc.Allocator
 	// epochRes recycles the allocator result across epochs so a DMRA
 	// session reuses one assignment buffer (and, through the allocator's
-	// pooled scratch, one preference cache) for the whole run.
+	// pooled scratch and the SubView's dense view, one arena and one
+	// CSR) for the whole run.
 	epochRes alloc.Result
 	engine   sim.Engine
 	// inc is the persistent delta-repair engine (nil outside incremental

@@ -118,7 +118,7 @@ var ErrDidNotQuiesce = errors.New("protocol: exceeded round bound without quiesc
 type ueAgent struct {
 	id mec.UEID
 	// view is the agent's slice of the runner's ViewTable; its address is
-	// the engine.ResidualView the preference cache scores against.
+	// the engine.ResidualView the proposer scores against.
 	view engine.UEView
 	// servedBy is CloudBS until an Accept arrives.
 	servedBy mec.BSID
@@ -168,16 +168,15 @@ type runner struct {
 	loss   *rng.Source
 	res    Result
 
-	// prop is the engine's UE-side round machine: Eq. 17 scoring through
-	// the same incremental preference cache the synchronous solver uses,
-	// keyed on the views' broadcast version counters.
+	// prop is the engine's UE-side round machine: the same Eq. 17 scan
+	// the synchronous solver runs, over each UE's local view.
 	prop *engine.Proposer
-	// views holds the UE-local resource views and per-BS broadcast
-	// counters; broadcasts are applied through it.
+	// views holds the UE-local resource views; broadcasts are applied
+	// through it.
 	views *engine.ViewTable
-	// lastScanned/lastRescored are cache-counter checkpoints for the
-	// per-round observability delta.
-	lastScanned, lastRescored uint64
+	// lastScanned is the proposer's scan counter at the previous round,
+	// for the per-round observability delta.
+	lastScanned uint64
 
 	// requestsThisRound implements the termination converge-cast: in a
 	// deployment this would be a timeout at the SP layer; in simulation the
@@ -409,9 +408,9 @@ func (r *runner) selectPhase(round int) {
 			admitted += len(bs.admitted)
 		}
 		r.cfg.Obs.Unmatched(len(r.ues) - admitted)
-		scanned, rescored := r.prop.CacheStats()
-		r.cfg.Obs.PrefCacheRound(int64(scanned-r.lastScanned), int64(rescored-r.lastRescored))
-		r.lastScanned, r.lastRescored = scanned, rescored
+		scanned := r.prop.Scanned()
+		r.cfg.Obs.CandidatesScanned(int64(scanned - r.lastScanned))
+		r.lastScanned = scanned
 	}
 }
 

@@ -1,10 +1,12 @@
 package wire
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -207,7 +209,7 @@ func RunClusterWith(net_ *mec.Network, cc ClusterConfig) (res ClusterResult, err
 
 	prop := engine.NewProposer(net_, cc.DMRA)
 	views := engine.NewViewTable(net_)
-	var lastScanned, lastRescored uint64
+	var lastScanned uint64
 	ues := make([]*ueAgent, len(net_.UEs))
 	for u := range net_.UEs {
 		ues[u] = &ueAgent{view: views.UE(mec.UEID(u)), servedBy: mec.CloudBS}
@@ -267,7 +269,7 @@ func RunClusterWith(net_ *mec.Network, cc ClusterConfig) (res ClusterResult, err
 					if len(batches[b]) == 0 {
 						continue
 					}
-					responses[b], errs[b] = exchange(conns[b], timeout, &RoundRequest{Round: round, Requests: batches[b]})
+					responses[b], errs[b] = exchange(conns[b], timeout, &RoundRequest{Round: round, Requests: batches[b]}, net_.Services)
 					if errs[b] != nil {
 						break // the round is doomed; don't serialize more timeouts
 					}
@@ -319,6 +321,10 @@ func RunClusterWith(net_ *mec.Network, cc ClusterConfig) (res ClusterResult, err
 			batches[bsID] = append(batches[bsID], req)
 			anyRequest = true
 		}
+		if rec != nil {
+			rec.CandidatesScanned(int64(prop.Scanned() - lastScanned))
+			lastScanned = prop.Scanned()
+		}
 		if !anyRequest {
 			exportRound(round)
 			if rec != nil {
@@ -368,8 +374,7 @@ func RunClusterWith(net_ *mec.Network, cc ClusterConfig) (res ClusterResult, err
 				}
 			}
 			rec.EventShard(b%shards, obs.KindBroadcast, round, -1, b)
-			// Apply the resource broadcast to every covered UE's view and
-			// invalidate cached Eq. 17 scores against this BS.
+			// Apply the resource broadcast to every covered UE's view.
 			views.ApplyBroadcast(mec.BSID(b), resp.RemainingCRU, resp.RemainingRRBs, views.Covered(mec.BSID(b)))
 			if rec != nil {
 				crus := 0
@@ -388,9 +393,6 @@ func RunClusterWith(net_ *mec.Network, cc ClusterConfig) (res ClusterResult, err
 				}
 			}
 			rec.Unmatched(unmatched)
-			scanned, rescored := prop.CacheStats()
-			rec.PrefCacheRound(int64(scanned-lastScanned), int64(rescored-lastRescored))
-			lastScanned, lastRescored = scanned, rescored
 			rec.RoundLatency(time.Since(roundStart).Seconds())
 		}
 	}
@@ -428,8 +430,10 @@ func RunClusterWith(net_ *mec.Network, cc ClusterConfig) (res ClusterResult, err
 }
 
 // exchange performs one framed request/response on a connection, each
-// frame bounded by its own deadline.
-func exchange(conn net.Conn, timeout time.Duration, req *RoundRequest) (*RoundResponse, error) {
+// frame bounded by its own deadline, and rejects a response that does
+// not answer req (see checkResponse). services is the scenario's service
+// count, the width of a BS's resource broadcast.
+func exchange(conn net.Conn, timeout time.Duration, req *RoundRequest, services int) (*RoundResponse, error) {
 	if err := writeFrameDeadline(conn, timeout, req); err != nil {
 		return nil, err
 	}
@@ -437,5 +441,44 @@ func exchange(conn net.Conn, timeout time.Duration, req *RoundRequest) (*RoundRe
 	if err := readFrameDeadline(conn, timeout, &resp); err != nil {
 		return nil, err
 	}
+	if err := checkResponse(req, &resp, services); err != nil {
+		return nil, err
+	}
 	return &resp, nil
+}
+
+// checkResponse validates a decoded response against the request it
+// answers before the coordinator applies it: the round must match, every
+// verdict must name a UE the batch sent to this BS (req.Requests is
+// ascending in UE, as both coordinators build it), and the resource
+// broadcast must carry one non-negative residual per service plus
+// non-negative RRBs. Bytes from a socket are otherwise trusted to index
+// the UE table and to overwrite UE views. A response reporting a BS-side
+// Error passes through; the merge phase surfaces it.
+func checkResponse(req *RoundRequest, resp *RoundResponse, services int) error {
+	if resp.Error != "" {
+		return nil
+	}
+	if resp.Round != req.Round {
+		return fmt.Errorf("wire: response for round %d answers round %d", resp.Round, req.Round)
+	}
+	for _, v := range resp.Verdicts {
+		if _, sent := slices.BinarySearchFunc(req.Requests, v.UE, func(r Request, u mec.UEID) int {
+			return cmp.Compare(r.UE, u)
+		}); !sent {
+			return fmt.Errorf("wire: verdict for UE %d, which the round's batch did not send", v.UE)
+		}
+	}
+	if len(resp.RemainingCRU) != services {
+		return fmt.Errorf("wire: broadcast carries %d service residuals, want %d", len(resp.RemainingCRU), services)
+	}
+	for j, c := range resp.RemainingCRU {
+		if c < 0 {
+			return fmt.Errorf("wire: broadcast residual of service %d is %d CRUs", j, c)
+		}
+	}
+	if resp.RemainingRRBs < 0 {
+		return fmt.Errorf("wire: broadcast residual is %d RRBs", resp.RemainingRRBs)
+	}
+	return nil
 }

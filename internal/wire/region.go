@@ -364,10 +364,10 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 		}
 	}
 
-	// One proposer per region: the Eq. 17 preference cache carries per-UE
-	// mutable state plus shared cache counters, so giving each region its
-	// own instance keeps the parallel propose phase race-free; a region
-	// only ever touches the entries of the UEs it homes.
+	// One proposer per region: a proposer carries per-UE alive-candidate
+	// lists plus a shared scan counter, so giving each region its own
+	// instance keeps the parallel propose phase race-free; a region only
+	// ever touches the lists of the UEs it homes.
 	props := make([]*engine.Proposer, regions)
 	for r := range props {
 		props[r] = engine.NewProposer(net_, rc.DMRA)
@@ -456,7 +456,7 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 					if len(batches[b]) == 0 {
 						continue
 					}
-					responses[b], errs[b] = exchange(conns[b], timeout, &RoundRequest{Round: w.round, Requests: batches[b]})
+					responses[b], errs[b] = exchange(conns[b], timeout, &RoundRequest{Round: w.round, Requests: batches[b]}, net_.Services)
 					if errs[b] != nil && !rc.Recover {
 						break // the round is doomed; don't serialize more timeouts
 					}
@@ -540,7 +540,7 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 			if !serving[b] || dead[b] || conns[b] == nil {
 				continue
 			}
-			if _, perr := exchange(conns[b], timeout, &RoundRequest{Round: round}); perr != nil {
+			if _, perr := exchange(conns[b], timeout, &RoundRequest{Round: round}, net_.Services); perr != nil {
 				crash(b, round)
 				crashed = true
 				continue
@@ -599,7 +599,7 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 	if cp != nil {
 		res.Frames = cp.Frames
 	}
-	var lastScanned, lastRescored uint64
+	var lastScanned uint64
 	startRound := 1
 	if cp != nil {
 		startRound = cp.Round + 1
@@ -672,6 +672,14 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 		}
 		res.HandoffProposals += handoffs
 		rec.RegionHandoffs(handoffs)
+		if rec != nil {
+			var scanned uint64
+			for _, p := range props {
+				scanned += p.Scanned()
+			}
+			rec.CandidatesScanned(int64(scanned - lastScanned))
+			lastScanned = scanned
+		}
 		if !anyRequest {
 			if rc.Recover && probeServing(round) {
 				// A serving BS died after its last productive round; its
@@ -754,14 +762,6 @@ func RunRegionCluster(net_ *mec.Network, rc RegionConfig) (res RegionResult, err
 				}
 			}
 			rec.Unmatched(unmatched)
-			var scanned, rescored uint64
-			for _, p := range props {
-				s, rs := p.CacheStats()
-				scanned += s
-				rescored += rs
-			}
-			rec.PrefCacheRound(int64(scanned-lastScanned), int64(rescored-lastRescored))
-			lastScanned, lastRescored = scanned, rescored
 			rec.RoundLatency(time.Since(roundStart).Seconds())
 		}
 	}

@@ -46,6 +46,10 @@ type BSServer struct {
 	// coordinator's start hook to simulate a wedged BS and exercise the
 	// exchange deadlines; always nil in production.
 	stall chan struct{}
+	// tamper, when non-nil, rewrites each response before it is sent.
+	// Tests set it via the coordinator's start hook to play a BS that
+	// answers with malformed frames; always nil in production.
+	tamper func(req *RoundRequest, resp *RoundResponse)
 }
 
 // StartBS launches a BS server on 127.0.0.1 with an ephemeral port.
@@ -143,6 +147,9 @@ func (s *BSServer) serve() {
 			return
 		}
 		resp := s.process(&req)
+		if s.tamper != nil {
+			s.tamper(&req, resp)
+		}
 		if s.stall != nil {
 			select {
 			case <-s.stall:

@@ -78,10 +78,10 @@ region_parity() {
 
 soa_parity() {
 	# The struct-of-arrays arena engine must be byte-identical to the
-	# legacy cached engine — assignments, stats, event streams, round
-	# snapshots — at any propose-worker count and any rho: the fuzz
-	# seeds include negative rho, which the arena's single scan propose
-	# path serves exactly like rho >= 0. Sweep the worker width
+	# test-only naive reference — assignments, stats, event streams,
+	# round snapshots — at any propose-worker count and any rho, on full
+	# networks and on drained SubView epochs: the fuzz seeds include
+	# negative rho and SubView shapes. Sweep the worker width
 	# race-enabled (like the wire shard sweep): workers 3 spawns real
 	# propose goroutines, so this is also the data-race gate on the
 	# parallel merge. The 50k-UE smoke run exercises the same parallel
@@ -98,9 +98,10 @@ soa_parity() {
 
 delta_parity() {
 	# The incremental delta-repair engine must reproduce from-scratch DMRA
-	# exactly — per-UE placements, residual ledgers, round counters —
-	# across churn scripts at any propose-worker count. Sweep the worker
-	# width race-enabled like the SoA gate; the fuzz seeds run as regular
+	# (the naive reference over each epoch's SubView) exactly — per-UE
+	# placements, residual ledgers, round counters — across churn
+	# scripts at any propose-worker count. Sweep the worker width
+	# race-enabled like the SoA gate; the fuzz seeds run as regular
 	# tests, replaying the checked-in corpus (including past crashers).
 	for workers in 1 3; do
 		DMRA_TEST_PROPOSE_WORKERS=$workers go test -race -count=1 \
