@@ -150,15 +150,25 @@ func TestWriteAllocBenchBaseline(t *testing.T) {
 		}
 	}
 	// The 100k rung has no naive comparison: the reference would need
-	// minutes per iteration at this population.
+	// minutes per iteration at this population. Its serial case pins the
+	// arena to one worker, so parallel_speedup is the measured gain of
+	// the default (auto) fan-out at this record's GOMAXPROCS.
 	{
 		net := benchNet(t, workload.DenseCity().Scale(10))
 		soa := testing.Benchmark(func(b *testing.B) {
 			benchAllocate(b, NewDMRA(DefaultDMRAConfig()), net)
 		})
+		serial := testing.Benchmark(func(b *testing.B) {
+			benchAllocate(b, NewDMRA(DefaultDMRAConfig()).WithProposeWorkers(1), net)
+		})
 		cases["densecity-100k"] = map[string]any{
-			"ns_op":     soa.NsPerOp(),
-			"allocs_op": soa.AllocsPerOp(),
+			"ns_op":            soa.NsPerOp(),
+			"allocs_op":        soa.AllocsPerOp(),
+			"parallel_speedup": float64(serial.NsPerOp()) / float64(soa.NsPerOp()),
+		}
+		cases["densecity-100k-serial"] = map[string]any{
+			"ns_op":     serial.NsPerOp(),
+			"allocs_op": serial.AllocsPerOp(),
 		}
 		observed := testing.Benchmark(func(b *testing.B) {
 			benchAllocate(b, observedDMRA(), net)

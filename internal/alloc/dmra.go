@@ -36,8 +36,8 @@ type DMRA struct {
 	// naive, when set, replaces the arena run with the test-only reference
 	// implementation the differential tests pin the arena against.
 	naive func(net *mec.Network, res *Result) error
-	// workers is the arena's propose-phase worker count; 0 means
-	// GOMAXPROCS. Results are byte-identical at any value.
+	// workers is the arena's per-phase worker count; 0 means auto (see
+	// WithProposeWorkers). Results are byte-identical at any value.
 	workers int
 	// pool recycles runState across Allocate calls. Experiment drivers
 	// share one allocator instance across worker goroutines, so the
@@ -76,11 +76,14 @@ func (d *DMRA) WithObserver(rec *obs.Recorder) *DMRA {
 	return d
 }
 
-// WithProposeWorkers sets the arena's propose-phase worker count and
-// returns the allocator for chaining. Zero (the default) means
-// GOMAXPROCS. The assignment, statistics, and event stream are
-// byte-identical at any worker count; the knob only trades wall-clock
-// for cores.
+// WithProposeWorkers sets the arena's worker count, which sizes both
+// the propose and the select phase of every round, and returns the
+// allocator for chaining. A positive n runs exactly n workers per phase
+// (fewer when a phase has fewer items). Zero (the default) is auto: up
+// to GOMAXPROCS, with a per-worker work floor that keeps small rounds
+// on the caller's goroutine. The assignment, statistics, and event
+// stream are byte-identical at any worker count; the knob only trades
+// wall-clock for cores.
 func (d *DMRA) WithProposeWorkers(n int) *DMRA {
 	d.workers = n
 	return d

@@ -8,9 +8,11 @@ import "math/bits"
 // and event-emission passes stay memory-bound on the pending list, not on
 // the population.
 //
-// The propose workers only read bitsets; all writes happen in the serial
-// merge/select phases. That split is what makes sharing them across
-// workers race-free without padding each UE to a word.
+// Workers never write a bitset: propose workers only read them, and
+// select workers list the UEs they admit so the serial fold after the
+// select join sets the bits. That split is what makes sharing them
+// across workers race-free without padding each UE to a word or an
+// atomic OR per admission.
 type Bitset struct {
 	words []uint64
 	n     int

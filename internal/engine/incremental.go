@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 
 	"dmra/internal/mec"
@@ -102,15 +101,13 @@ type Incremental struct {
 
 // Begin starts an incremental session over net's dense candidate view
 // with an empty assignment and full capacities. Like Arena.Run it
-// requires a dense view and is exact at any rho; workers <= 0 means
-// GOMAXPROCS.
+// requires a dense view and is exact at any rho; workers sizes each
+// repair round's propose and select phases as in Arena.Run, so the
+// default (workers <= 0) keeps small frontiers on the caller's goroutine.
 func (inc *Incremental) Begin(net *mec.Network, cfg Config, workers int) error {
 	csr := net.Dense()
 	if csr == nil {
 		return fmt.Errorf("engine: Incremental.Begin: network has no dense candidate view")
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	inc.workers = workers
 	a := &inc.a
@@ -265,7 +262,7 @@ func (inc *Incremental) Settle() (DeltaStats, error) {
 			break
 		}
 		a.bucketByBS()
-		if err := a.selectAll(&stats, nil); err != nil {
+		if err := a.selectAll(inc.workers, &stats, nil); err != nil {
 			return ds, err
 		}
 		if stats.Rounds > maxRounds {

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"dmra/internal/mec"
@@ -16,25 +18,59 @@ import (
 // run performs zero heap allocations and walks memory sequentially
 // instead of chasing a pointer per UE and another per candidate list.
 //
-// The propose phase optionally fans across workers. That is safe and
+// Both phases of a round optionally fan across workers, with the worker
+// on the caller's goroutine taking the first share. That is safe and
 // exactly deterministic because of how Alg. 1 rounds are structured:
 //
-//   - Propose only READS the residual ledger (remCRU/remRRB); the
-//     select phase, which runs strictly after all workers join, is the
-//     only writer. Workers score against an immutable snapshot by
-//     construction.
+//   - Propose only READS the residual ledger (remCRU/remRRB) and the
+//     assigned bitset; the select phase, which runs strictly after all
+//     propose workers join, is the only writer. Workers score against an
+//     immutable snapshot by construction.
 //   - All per-UE mutable state (the candidate region, hlen) is touched
-//     only by the worker that owns the UE, and workers own contiguous
-//     chunks of the pending list.
-//   - Each worker writes proposals into its own chunk of the proposal
-//     buffer; the serial merge concatenates the chunks in worker order,
-//     which — because the pending list is ascending and chunks are
-//     contiguous — is exactly the order a serial sweep would have
-//     produced.
+//     only by the propose worker that owns the UE, and propose workers
+//     own contiguous chunks of the pending list.
+//   - Each propose worker writes proposals into its own chunk of the
+//     proposal buffer; the serial merge concatenates the chunks in
+//     worker order, which — because the pending list is ascending and
+//     chunks are contiguous — is exactly the order a serial sweep would
+//     have produced.
+//   - Select workers own contiguous BS ranges. Each UE proposes to
+//     exactly one BS per round, so BS b's select writes only its own
+//     ledger row (remCRU[b*S:(b+1)*S], remRRB[b]), bsCnt[b], and
+//     serving[u] for the UEs in its own bucket: no two workers touch
+//     the same element. The shared assigned bitset, whose words span
+//     64 UEs of possibly different BSs, is set after the join from
+//     per-worker admitted lists, and stats and Verdict hooks are
+//     replayed in worker order — ascending BS order, as a serial select
+//     would have produced them.
 //
 // Assignments, statistics, scan counters, and the ordered event stream
 // are therefore byte-identical at any worker count, the same determinism
 // contract the wire coordinator proves for shards.
+
+// autoItemsPerWorker is the per-worker work floor of an auto-sized
+// phase (workers <= 0): a propose phase over n pending UEs, or a select
+// phase over n proposals, runs on at most n/autoItemsPerWorker workers,
+// so the small late rounds of a match and the few-hundred-UE repair
+// rounds of an Incremental session stay on the caller's goroutine. It
+// was measured on a 2-core Xeon VM by settling Incremental frontiers of
+// 256 to 16k UEs over a half-matched 110k-UE dense city (Scale(10)) at
+// one and two workers, median of 40: two workers were 21% slower at 256
+// UEs, 5% slower at 1k, 3% faster at 2k and 13-17% faster from 4k up.
+// The break-even is thus ~1k items per worker; the floor sits a factor
+// of two above it, so fan-out starts at 4k items. Explicit worker counts
+// are honoured exactly, so the parity tests still fan out at toy sizes.
+const autoItemsPerWorker = 2048
+
+// fanout resolves the worker count of one phase over n items: an
+// explicit count is capped only by n; auto (workers <= 0) is GOMAXPROCS
+// capped by the autoItemsPerWorker floor. The result is at least 1.
+func fanout(workers, n int) int {
+	if workers <= 0 {
+		workers = min(runtime.GOMAXPROCS(0), n/autoItemsPerWorker)
+	}
+	return max(1, min(workers, n))
+}
 
 // soaProposal is one UE's proposal of a round: the proposing UE and the
 // global candidate index (into the CSR arrays) of the link it chose.
@@ -48,7 +84,8 @@ type soaProposal struct {
 // branch-free on the hot path. All hooks run on the caller's goroutine,
 // in deterministic order: Round, then Propose/Cloud in ascending UE
 // order over the whole unassigned population, then Verdict in BS order
-// (verdict order within a BS), then Snapshot, then RoundDone.
+// (verdict order within a BS), then Snapshot, then RoundDone. Verdict
+// fires once the round's whole select phase has joined.
 type SoAHooks struct {
 	// Round fires at the top of each round (1-based).
 	Round func(round int)
@@ -80,7 +117,8 @@ type SoAStats struct {
 // value is ready to use; Run resets and right-sizes every buffer,
 // reusing backing storage across runs and epochs so pooled drivers
 // stay allocation-free. An Arena belongs to one run at a time; it is
-// not safe for concurrent use (its propose workers are internal).
+// not safe for concurrent use (its propose and select workers are
+// internal).
 type Arena struct {
 	csr *mec.CSR
 	cfg Config
@@ -124,20 +162,24 @@ type Arena struct {
 	props  []soaProposal
 	nprops int
 
-	// Per-worker outputs: proposal counts and scan counters, summed
-	// serially after the join so totals are worker-count independent.
+	// Per-worker propose outputs: proposal counts and scan counters,
+	// summed serially after the join so totals are worker-count
+	// independent. wg joins the workers of either phase.
 	wcnt  []int32
 	wscan []uint64
 	wg    sync.WaitGroup
 
 	// Select-phase scratch: counting-sort of proposals by BS (bsCnt,
-	// bsOff cursor, sorted) and the per-BS request batch.
+	// bsOff cursor, sorted), the select workers' BS-range bounds, and
+	// one private scratch/ledger/output set per select worker.
 	bsCnt  []int32
 	bsOff  []int32
 	sorted []soaProposal
-	reqs   []Request
-	sel    SelectScratch
-	led    arenaLedger
+	sbound []int32
+	sw     []selectWorker
+	// wideSelects counts the rounds whose select phase ran on two or
+	// more non-empty BS ranges, so tests can prove the fan-out happened.
+	wideSelects int
 
 	// Invariant-recount scratch.
 	invCRU []int32
@@ -157,17 +199,16 @@ func grown[T any](s []T, n int) []T {
 }
 
 // Run executes Alg. 1 to quiescence over net's dense candidate view,
-// with the propose phase partitioned across workers (workers <= 0 means
-// GOMAXPROCS). The result is byte-identical at any worker count and
+// with each round's propose and select phases partitioned across
+// workers: exactly that many (capped by the phase's item count), or,
+// for workers <= 0, up to GOMAXPROCS with at least autoItemsPerWorker
+// items each. The result is byte-identical at any worker count and
 // exact at any rho (see proposeUEScan). It requires a dense view
 // (NewNetwork-built networks).
 func (a *Arena) Run(net *mec.Network, cfg Config, workers int, hooks *SoAHooks) (SoAStats, error) {
 	csr := net.Dense()
 	if csr == nil {
 		return SoAStats{}, fmt.Errorf("engine: Arena.Run: network has no dense candidate view")
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	a.reset(csr, cfg)
 	var snapHook RoundHook
@@ -196,7 +237,7 @@ func (a *Arena) Run(net *mec.Network, cfg Config, workers int, hooks *SoAHooks) 
 			break
 		}
 		a.bucketByBS()
-		if err := a.selectAll(&stats, hooks); err != nil {
+		if err := a.selectAll(workers, &stats, hooks); err != nil {
 			return stats, err
 		}
 		if snapHook != nil {
@@ -226,9 +267,9 @@ func (a *Arena) reset(csr *mec.CSR, cfg Config) {
 	a.csr = csr
 	a.cfg = cfg
 	a.cru = csr.CRU
-	a.led.a = a
 	a.scanned = 0
 	a.nprops = 0
+	a.wideSelects = 0
 	nUE, nBS, links := csr.UEs(), csr.BSs(), csr.Links()
 
 	a.remCRU = grown(a.remCRU, len(csr.CRUCap))
@@ -246,16 +287,17 @@ func (a *Arena) reset(csr *mec.CSR, cfg Config) {
 	a.hlen = grown(a.hlen, nUE)
 	// One stamp bump invalidates every candidate region. Stamps from earlier
 	// runs are always below the new run value, except after the (in
-	// practice unreachable) uint32 wrap or when the stamp array grows
-	// into stale capacity — both cleared explicitly.
-	if a.run == ^uint32(0) {
+	// practice unreachable) uint32 wrap, which restarts the count over a
+	// cleared array, or when the array grows, which starts one fresh.
+	if cap(a.hstamp) < nUE {
+		a.hstamp = make([]uint32, nUE)
+		a.run = 0
+	} else if a.run == ^uint32(0) {
+		a.hstamp = a.hstamp[:cap(a.hstamp)]
+		clear(a.hstamp)
 		a.run = 0
 	}
 	a.run++
-	if cap(a.hstamp) < nUE {
-		a.hstamp = make([]uint32, nUE)
-		a.run = 1
-	}
 	a.hstamp = a.hstamp[:nUE]
 
 	if cap(a.pending) < nUE {
@@ -288,18 +330,14 @@ func (a *Arena) initRegion(u int32) {
 	a.hstamp[u] = a.run
 }
 
-// proposeRound runs one propose phase over the pending list across the
-// given worker count, merges the per-worker proposal chunks in global UE
-// order, and compacts the pending list to this round's proposers. It
-// returns the number of proposals.
+// proposeRound runs one propose phase over the pending list across
+// fanout(workers) workers in ceil(n/workers)-sized chunks, merges the
+// per-worker proposal chunks in global UE order, and compacts the
+// pending list to this round's proposers. It returns the number of
+// proposals.
 func (a *Arena) proposeRound(workers int) int {
 	n := len(a.pending)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = fanout(workers, n)
 	a.wcnt = grown(a.wcnt, workers)
 	a.wscan = grown(a.wscan, workers)
 	chunk := (n + workers - 1) / workers
@@ -468,76 +506,171 @@ func (a *Arena) bucketByBS() {
 	}
 }
 
-// selectAll runs the serial select phase (Alg. 1 lines 11-26) for every
-// BS with proposals, in ascending BS order, through the canonical
-// Config.SelectRound against the arena ledger. bsCnt is re-zeroed as
-// buckets are consumed, keeping it all-zero between rounds.
-func (a *Arena) selectAll(stats *SoAStats, hooks *SoAHooks) error {
-	csr := a.csr
-	for b := 0; b < csr.BSs(); b++ {
+// selectAll runs the select phase (Alg. 1 lines 11-26) for every BS with
+// proposals through the canonical Config.SelectRound, with the BSs split
+// into fanout(workers) contiguous ranges balanced by proposal count.
+// Worker 0 runs on the caller's goroutine. After the join it folds the
+// workers' outputs in worker order — ascending BS order, the order of a
+// serial sweep: stats, the lowest worker's error, the buffered Verdict
+// hooks, and the assigned bits of the admitted UEs. bsCnt is re-zeroed
+// as buckets are consumed, keeping it all-zero between rounds.
+func (a *Arena) selectAll(workers int, stats *SoAStats, hooks *SoAHooks) error {
+	nBS := a.csr.BSs()
+	workers = fanout(workers, a.nprops)
+	if len(a.sw) < workers {
+		a.sw = append(a.sw, make([]selectWorker, workers-len(a.sw))...)
+	}
+	// bsOff[b] is the end of BS b's bucket, a non-decreasing prefix sum
+	// of the proposal counts: worker w starts just past the first BS
+	// whose bucket end reaches w/workers of the proposals.
+	a.sbound = grown(a.sbound, workers+1)
+	a.sbound[0] = 0
+	for w := 1; w < workers; w++ {
+		b, _ := slices.BinarySearch(a.bsOff[:nBS], int32((w*a.nprops+workers-1)/workers))
+		a.sbound[w] = int32(b + 1)
+	}
+	a.sbound[workers] = int32(nBS)
+	record := hooks != nil && hooks.Verdict != nil
+	if workers > 1 {
+		a.wg.Add(workers - 1)
+		for w := 1; w < workers; w++ {
+			go a.selectWorkerWG(w, record)
+		}
+	}
+	a.selectRange(0, record)
+	a.wg.Wait()
+
+	wide := 0
+	for w := 0; w < workers; w++ {
+		sw := &a.sw[w]
+		if a.sbound[w] < a.sbound[w+1] {
+			wide++
+		}
+		stats.Accepts += sw.accepts
+		stats.Rejects += sw.rejects
+		for _, bv := range sw.verdicts {
+			p := a.sorted[bv.i]
+			hooks.Verdict(a.csr.BS[p.g], Verdict{Req: a.request(p.ue, p.g), Accepted: bv.accepted, Permanent: bv.permanent})
+		}
+		for _, u := range sw.admitted {
+			a.assigned.Set(u)
+		}
+		if sw.err != nil {
+			return sw.err
+		}
+	}
+	if wide > 1 {
+		a.wideSelects++
+	}
+	return nil
+}
+
+func (a *Arena) selectWorkerWG(w int, record bool) {
+	defer a.wg.Done()
+	a.selectRange(w, record)
+}
+
+// selectRange runs select worker w over its BS range, stopping at the
+// first SelectRound error. It writes only the range's ledger rows,
+// bsCnt entries and bucket UEs' serving slots, plus its own
+// selectWorker; verdicts are buffered only when record is set.
+func (a *Arena) selectRange(w int, record bool) {
+	sw := &a.sw[w]
+	sw.a, sw.accepts, sw.rejects, sw.err = a, 0, 0, nil
+	sw.admitted = sw.admitted[:0]
+	sw.verdicts = sw.verdicts[:0]
+	for b := a.sbound[w]; b < a.sbound[w+1]; b++ {
 		c := a.bsCnt[b]
 		if c == 0 {
 			continue
 		}
 		a.bsCnt[b] = 0
-		end := a.bsOff[b]
-		a.reqs = a.reqs[:0]
-		for _, p := range a.sorted[end-c : end] {
-			u, g := p.ue, p.g
-			a.reqs = append(a.reqs, Request{
-				UE:          mec.UEID(u),
-				Service:     mec.ServiceID(csr.Service[u]),
-				CRUs:        int(a.cru[u]),
-				RRBs:        int(csr.RRBs[g]),
-				SameSP:      csr.SameSP[g],
-				Fu:          int(csr.Fu[u]),
-				PricePerCRU: csr.Price[g],
-			})
+		start := a.bsOff[b] - c
+		bucket := a.sorted[start : start+c]
+		sw.reqs = sw.reqs[:0]
+		for _, p := range bucket {
+			sw.reqs = append(sw.reqs, a.request(p.ue, p.g))
 		}
-		a.led.bs = int32(b)
-		verdicts, err := a.cfg.SelectRound(&a.led, a.reqs, &a.sel)
+		sw.bs = b
+		verdicts, err := a.cfg.SelectRound(sw, sw.reqs, &sw.sel)
 		if err != nil {
-			return err
+			sw.err = err
+			return
 		}
 		for _, v := range verdicts {
 			if v.Accepted {
-				stats.Accepts++
+				sw.accepts++
 			} else {
-				stats.Rejects++
+				sw.rejects++
 			}
-			if hooks != nil && hooks.Verdict != nil {
-				hooks.Verdict(int32(b), v)
+			if record {
+				// The bucket is ascending by UE, each UE in it once.
+				i, _ := slices.BinarySearchFunc(bucket, int32(v.Req.UE), func(p soaProposal, u int32) int { return cmp.Compare(p.ue, u) })
+				sw.verdicts = append(sw.verdicts, bufVerdict{i: start + int32(i), accepted: v.Accepted, permanent: v.Permanent})
 			}
 		}
 	}
-	return nil
 }
 
-// arenaLedger adapts one BS's slice of the arena's dense ledger to the
-// engine.Ledger the select phase admits against. It lives inside the
-// Arena and is passed by pointer, so the interface conversion never
-// allocates.
-type arenaLedger struct {
+// selectWorker is one select worker's private state: its request batch
+// and SelectRound scratch, and its outputs for the serial fold. It is
+// also the engine.Ledger over the row of the BS it is selecting for,
+// passed by pointer so the interface conversion never allocates.
+type selectWorker struct {
 	a  *Arena
 	bs int32
+
+	reqs []Request
+	sel  SelectScratch
+
+	accepts, rejects int
+	err              error
+	// admitted lists the UEs admitted this round, for the assigned bits
+	// set after the join; verdicts buffers the Verdict hook calls.
+	admitted []int32
+	verdicts []bufVerdict
+}
+
+// bufVerdict is one buffered Verdict hook call: the decided proposal's
+// index into sorted, and the outcome. The replay rebuilds the verdict's
+// Request from that proposal — the very Request SelectRound decided —
+// so a buffered verdict costs 8 bytes, not a whole Verdict.
+type bufVerdict struct {
+	i                   int32
+	accepted, permanent bool
+}
+
+// request builds the select-phase Request of UE u's proposal over
+// candidate link g.
+func (a *Arena) request(u, g int32) Request {
+	csr := a.csr
+	return Request{
+		UE:          mec.UEID(u),
+		Service:     mec.ServiceID(csr.Service[u]),
+		CRUs:        int(a.cru[u]),
+		RRBs:        int(csr.RRBs[g]),
+		SameSP:      csr.SameSP[g],
+		Fu:          int(csr.Fu[u]),
+		PricePerCRU: csr.Price[g],
+	}
 }
 
 // Residual implements Ledger.
-func (l *arenaLedger) Residual(j mec.ServiceID) (remCRU, remRRBs int) {
-	a := l.a
-	return int(a.remCRU[l.bs*int32(a.csr.Services)+int32(j)]), int(a.remRRB[l.bs])
+func (sw *selectWorker) Residual(j mec.ServiceID) (remCRU, remRRBs int) {
+	a := sw.a
+	return int(a.remCRU[sw.bs*int32(a.csr.Services)+int32(j)]), int(a.remRRB[sw.bs])
 }
 
 // Admit implements Ledger: debit the dense ledger and record the
 // assignment. SelectRound only calls it after a Residual feasibility
 // check.
-func (l *arenaLedger) Admit(r Request) error {
-	a, b := l.a, l.bs
+func (sw *selectWorker) Admit(r Request) error {
+	a, b := sw.a, sw.bs
 	a.remCRU[b*int32(a.csr.Services)+int32(r.Service)] -= int32(r.CRUs)
 	a.remRRB[b] -= int32(r.RRBs)
 	u := int32(r.UE)
 	a.serving[u] = b
-	a.assigned.Set(u)
+	sw.admitted = append(sw.admitted, u)
 	return nil
 }
 

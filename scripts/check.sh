@@ -83,26 +83,32 @@ soa_parity() {
 	# networks and on drained SubView epochs: the fuzz seeds include
 	# negative rho and SubView shapes. Sweep the worker width
 	# race-enabled (like the wire shard sweep): workers 3 spawns real
-	# propose goroutines, so this is also the data-race gate on the
-	# parallel merge. The 50k-UE smoke run exercises the same parallel
-	# path at a scale where chunk boundaries actually split the pending
-	# list many ways.
+	# propose and select goroutines, so this is also the data-race gate
+	# on the parallel propose merge and on the select workers' disjoint
+	# BS ranges. The engine's own fan-out tests (TestArena*) pin every
+	# hook stream and each Incremental Settle to workers 1 at the same
+	# width. The 50k-UE smoke run exercises the same parallel path at a
+	# scale where chunk and BS-range boundaries split each round many
+	# ways.
 	for workers in 1 3; do
 		DMRA_TEST_PROPOSE_WORKERS=$workers go test -race -count=1 \
 			-run 'TestSoA|FuzzSoAParity' ./internal/alloc/
+		DMRA_TEST_PROPOSE_WORKERS=$workers go test -race -count=1 \
+			-run 'TestArena' ./internal/engine/
 	done
 	DMRA_TEST_PROPOSE_WORKERS=3 go test -race -count=1 -run 'TestSoASmoke50k' \
 		-timeout 20m ./internal/alloc/
-	echo "soa parity: race-enabled SoA engine gate passed at workers 1 and 3 (+ 50k smoke)"
+	echo "soa parity: race-enabled SoA engine gate passed at workers 1 and 3 (+ engine fan-out, + 50k smoke)"
 }
 
 delta_parity() {
 	# The incremental delta-repair engine must reproduce from-scratch DMRA
 	# (the naive reference over each epoch's SubView) exactly — per-UE
 	# placements, residual ledgers, round counters — across churn
-	# scripts at any propose-worker count. Sweep the worker width
-	# race-enabled like the SoA gate; the fuzz seeds run as regular
-	# tests, replaying the checked-in corpus (including past crashers).
+	# scripts at any worker count. Sweep the worker width race-enabled
+	# like the SoA gate — at workers 3 each repair round spawns propose
+	# and select goroutines; the fuzz seeds run as regular tests,
+	# replaying the checked-in corpus (including past crashers).
 	for workers in 1 3; do
 		DMRA_TEST_PROPOSE_WORKERS=$workers go test -race -count=1 \
 			-run 'TestDelta|TestIncremental|FuzzDeltaParity' ./internal/alloc/ ./internal/engine/ ./internal/online/
