@@ -98,13 +98,12 @@ func (d *DMRA) allocateNaive(net *mec.Network, res *Result) error {
 				if state.CanServe(uid, link.BS) {
 					ue := &net.UEs[uid]
 					inbox[link.BS] = append(inbox[link.BS], engine.Request{
-						UE:          uid,
-						Service:     ue.Service,
-						CRUs:        ue.CRUDemand,
-						RRBs:        link.RRBs,
-						SameSP:      link.SameSP,
-						Fu:          net.CoverCount(uid),
-						PricePerCRU: link.PricePerCRU,
+						UE:      uid,
+						Service: ue.Service,
+						CRUs:    ue.CRUDemand,
+						RRBs:    link.RRBs,
+						SameSP:  link.SameSP,
+						Fu:      net.CoverCount(uid),
 					})
 					stats.Proposals++
 					anyRequest = true

@@ -89,13 +89,12 @@ func (p *Proposer) Propose(u mec.UEID, rv ResidualView) (req Request, bs mec.BSI
 	}
 	l := &cands[best]
 	return Request{
-		UE:          u,
-		Service:     ue.Service,
-		CRUs:        ue.CRUDemand,
-		RRBs:        l.RRBs,
-		SameSP:      l.SameSP,
-		Fu:          p.net.CoverCount(u),
-		PricePerCRU: l.PricePerCRU,
+		UE:      u,
+		Service: ue.Service,
+		CRUs:    ue.CRUDemand,
+		RRBs:    l.RRBs,
+		SameSP:  l.SameSP,
+		Fu:      p.net.CoverCount(u),
 	}, l.BS, true
 }
 

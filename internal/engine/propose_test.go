@@ -124,7 +124,7 @@ func TestProposerMatchesNaiveSweep(t *testing.T) {
 					proposed++
 					l := cands[wantK]
 					want := engine.Request{UE: u, Service: ue.Service, CRUs: ue.CRUDemand, RRBs: l.RRBs,
-						SameSP: l.SameSP, Fu: net.CoverCount(u), PricePerCRU: l.PricePerCRU}
+						SameSP: l.SameSP, Fu: net.CoverCount(u)}
 					if bs != l.BS || req != want {
 						t.Fatalf("rho %g seed %d step %d UE %d: Propose -> BS %d %+v, naive -> BS %d %+v",
 							rho, seed, step, u, bs, req, l.BS, want)

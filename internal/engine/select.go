@@ -9,8 +9,8 @@ import (
 // Request is one UE->BS service request of an Alg. 1 iteration, flattened
 // to what the paper's line 7 says a request carries: the UE's identity,
 // its demands on this link, the ownership relation, the coverage count
-// f_u, and the link economics. It is self-contained so a BS can select
-// without the network database — internal/wire serializes it verbatim
+// f_u. It is self-contained so a BS can select without the network
+// database — internal/wire serializes it verbatim
 // (the JSON tags are the cluster's frame format).
 type Request struct {
 	UE      mec.UEID      `json:"ue"`
@@ -22,9 +22,6 @@ type Request struct {
 	SameSP bool `json:"sameSP"`
 	// Fu is the UE's coverage count f_u.
 	Fu int `json:"fu"`
-	// PricePerCRU is p_{i,u}; the BS echoes link economics back into its
-	// selection without needing the full network database.
-	PricePerCRU float64 `json:"pricePerCRU"`
 }
 
 // Verdict is a BS's decision on one request of a round.

@@ -645,13 +645,12 @@ type bufVerdict struct {
 func (a *Arena) request(u, g int32) Request {
 	csr := a.csr
 	return Request{
-		UE:          mec.UEID(u),
-		Service:     mec.ServiceID(csr.Service[u]),
-		CRUs:        int(a.cru[u]),
-		RRBs:        int(csr.RRBs[g]),
-		SameSP:      csr.SameSP[g],
-		Fu:          int(csr.Fu[u]),
-		PricePerCRU: csr.Price[g],
+		UE:      mec.UEID(u),
+		Service: mec.ServiceID(csr.Service[u]),
+		CRUs:    int(a.cru[u]),
+		RRBs:    int(csr.RRBs[g]),
+		SameSP:  csr.SameSP[g],
+		Fu:      int(csr.Fu[u]),
 	}
 }
 

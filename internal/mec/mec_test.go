@@ -8,6 +8,7 @@ import (
 
 	"dmra/internal/geo"
 	"dmra/internal/radio"
+	"dmra/internal/rng"
 )
 
 // testPricing mirrors the §VI/DESIGN.md parameterization (power law).
@@ -506,5 +507,46 @@ func TestSummarizeEmptyNetwork(t *testing.T) {
 	s := net.Summarize()
 	if s.UEs != 0 || s.MeanCoverage != 0 || s.RadioLoadFactor() != 0 {
 		t.Fatalf("empty summary = %+v", s)
+	}
+}
+
+// TestStateUsedRRBsRunningTotal drives random Assign/Unassign/Reset
+// sequences and requires the O(1) running total to equal the per-BS
+// recount after every step, and CheckInvariants to agree.
+func TestStateUsedRRBsRunningTotal(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		net := randomScenario(t, seed, 300, 12, seed%2 == 0)
+		src := rng.New(seed).SplitLabeled("used-rrbs")
+		s := NewState(net)
+		assigns := 0
+		for step := 0; step < 4000; step++ {
+			u := UEID(src.Intn(len(net.UEs)))
+			switch r := src.Intn(100); {
+			case r == 0:
+				s.Reset(net)
+			case r < 60:
+				links := net.Candidates(u)
+				if len(links) > 0 && s.Assign(u, links[src.Intn(len(links))].BS) == nil {
+					assigns++
+				}
+			default:
+				s.Unassign(u)
+			}
+			recount := 0
+			for b := range net.BSs {
+				recount += net.BSs[b].MaxRRBs - s.RemainingRRBs(BSID(b))
+			}
+			if got := s.UsedRRBs(); got != recount {
+				t.Fatalf("seed %d step %d: UsedRRBs() = %d, recount %d", seed, step, got, recount)
+			}
+			if step%97 == 0 {
+				if err := s.CheckInvariants(); err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+			}
+		}
+		if assigns < 100 {
+			t.Fatalf("seed %d: only %d successful assigns; the sequence is too thin", seed, assigns)
+		}
 	}
 }

@@ -60,6 +60,10 @@ type State struct {
 	assignment Assignment
 	// rrbsUsed[u] records the RRBs granted to UE u (for release).
 	rrbsUsed []int
+	// usedRRBs is the running total of RRBs granted across all BSs:
+	// Σ_b (MaxRRBs_b − remRRB[b]), kept by Assign/Unassign/Reset so
+	// occupancy reads are O(1) instead of a pass over every BS.
+	usedRRBs int
 	// invariantCRU/invariantRRB are CheckInvariants' recount scratch,
 	// allocated on first use and reused so steady-state verification is
 	// allocation-free.
@@ -93,6 +97,7 @@ func (s *State) Reset(net *Network) {
 		copy(s.remCRU[b], caps)
 		s.remRRB[b] = net.BSs[b].MaxRRBs
 	}
+	s.usedRRBs = 0
 	if len(s.rrbsUsed) != len(net.UEs) {
 		s.assignment = NewAssignment(len(net.UEs))
 		s.rrbsUsed = make([]int, len(net.UEs))
@@ -116,6 +121,10 @@ func (s *State) RemainingCRU(b BSID, j ServiceID) int {
 func (s *State) RemainingRRBs(b BSID) int {
 	return s.remRRB[b]
 }
+
+// UsedRRBs returns the radio blocks granted across all BSs, the sum
+// over b of MaxRRBs − RemainingRRBs(b), in O(1).
+func (s *State) UsedRRBs() int { return s.usedRRBs }
 
 // Residual returns BS b's remaining CRUs for service j and remaining RRBs
 // in one call — the two Eq. 17 inputs that change during matching.
@@ -174,6 +183,7 @@ func (s *State) Assign(u UEID, b BSID) error {
 	}
 	s.remCRU[b][ue.Service] -= ue.CRUDemand
 	s.remRRB[b] -= l.RRBs
+	s.usedRRBs += l.RRBs
 	s.assignment.ServingBS[u] = b
 	s.rrbsUsed[u] = l.RRBs
 	return nil
@@ -190,6 +200,7 @@ func (s *State) Unassign(u UEID) {
 	ue := &s.net.UEs[u]
 	s.remCRU[b][ue.Service] += ue.CRUDemand
 	s.remRRB[b] += s.rrbsUsed[u]
+	s.usedRRBs -= s.rrbsUsed[u]
 	s.rrbsUsed[u] = 0
 	s.assignment.ServingBS[u] = CloudBS
 }
@@ -247,7 +258,9 @@ func (s *State) CheckInvariants() error {
 		usedCRU[int(b)*s.net.Services+int(ue.Service)] += ue.CRUDemand
 		usedRRB[b] += l.RRBs
 	}
+	totalUsed := 0
 	for b := range s.net.BSs {
+		totalUsed += usedRRB[b]
 		for j := 0; j < s.net.Services; j++ {
 			cap := s.net.BSs[b].CRUCapacity[j]
 			used := usedCRU[b*s.net.Services+j]
@@ -266,6 +279,9 @@ func (s *State) CheckInvariants() error {
 			return fmt.Errorf("mec: invariant: BS %d ledger says %d RRBs left, recount says %d",
 				b, s.remRRB[b], s.net.BSs[b].MaxRRBs-usedRRB[b])
 		}
+	}
+	if s.usedRRBs != totalUsed {
+		return fmt.Errorf("mec: invariant: running total says %d RRBs used, recount says %d", s.usedRRBs, totalUsed)
 	}
 	return nil
 }

@@ -205,7 +205,7 @@ type CohortReport struct {
 	Name string
 	// PoolSize is the number of UE profiles in the cohort's slice of
 	// the scenario population.
-	PoolSize int
+	PoolSize                        int
 	Arrivals, Departures, Saturated int
 	EdgeServed, CloudServed         int
 }
@@ -393,6 +393,9 @@ func planWorkload(cfg Config) ([]cohortPlan, []workload.DemandRange, error) {
 // placement records where an active UE's task runs.
 type placement struct {
 	bs mec.BSID // CloudBS for cloud-served tasks
+	// margin is the per-second profit added to profitRate at admission
+	// (0 on the cloud); the departure subtracts this same float64.
+	margin float64
 }
 
 // cohortRun is one cohort's live state inside a session.
@@ -602,13 +605,9 @@ func (s *session) writeTimelineSample() {
 	if s.timelineErr != nil {
 		return
 	}
-	used := 0
-	for b := range s.net.BSs {
-		used += s.net.BSs[b].MaxRRBs - s.state.RemainingRRBs(mec.BSID(b))
-	}
 	occupancy := 0.0
 	if s.totalRRBs > 0 {
-		occupancy = float64(used) / float64(s.totalRRBs)
+		occupancy = float64(s.state.UsedRRBs()) / float64(s.totalRRBs)
 	}
 	sample := obs.TimelineSample{
 		TimeS:        s.engine.Now(),
@@ -659,12 +658,8 @@ func (s *session) integrateTo(t float64) {
 	if dt <= 0 {
 		return
 	}
-	used := 0
-	for b := range s.net.BSs {
-		used += s.net.BSs[b].MaxRRBs - s.state.RemainingRRBs(mec.BSID(b))
-	}
 	s.areaActive += dt * float64(len(s.active)+len(s.waiting))
-	s.areaRRBUsed += dt * float64(used)
+	s.areaRRBUsed += dt * float64(s.state.UsedRRBs())
 	s.areaProfit += dt * s.profitRate
 	s.lastT = t
 }
@@ -713,13 +708,9 @@ func (s *session) epoch() {
 		}
 	}
 	if s.cfg.RecordSeries {
-		used := 0
-		for b := range s.net.BSs {
-			used += s.net.BSs[b].MaxRRBs - s.state.RemainingRRBs(mec.BSID(b))
-		}
 		occupancy := 0.0
 		if s.totalRRBs > 0 {
-			occupancy = float64(used) / float64(s.totalRRBs)
+			occupancy = float64(s.state.UsedRRBs()) / float64(s.totalRRBs)
 		}
 		s.rep.Series = append(s.rep.Series, EpochSample{
 			TimeS:        s.engine.Now(),
@@ -771,11 +762,12 @@ func (s *session) match() error {
 			kept = append(kept, u)
 			continue
 		}
-		s.active[u] = placement{bs: b}
+		m := s.marginOf(u, b)
+		s.active[u] = placement{bs: b, margin: m}
 		s.rep.EdgeServed++
 		co.edgeServed++
 		co.counters.edgeServed.Inc()
-		s.profitRate += s.marginOf(u, b)
+		s.profitRate += m
 		s.scheduleDeparture(u, co.hold.Sample(co.src))
 	}
 	s.waiting = kept
@@ -808,11 +800,12 @@ func (s *session) matchIncremental() error {
 			if err := s.state.Assign(u, b); err != nil {
 				return fmt.Errorf("online: incremental ledger desync: %w", err)
 			}
-			s.active[u] = placement{bs: b}
+			m := s.marginOf(u, b)
+			s.active[u] = placement{bs: b, margin: m}
 			s.rep.EdgeServed++
 			co.edgeServed++
 			co.counters.edgeServed.Inc()
-			s.profitRate += s.marginOf(u, b)
+			s.profitRate += m
 		} else {
 			s.active[u] = placement{bs: mec.CloudBS}
 			s.rep.CloudServed++
@@ -874,7 +867,7 @@ func (s *session) scheduleDeparture(u mec.UEID, hold float64) {
 		}
 		delete(s.active, u)
 		if p.bs != mec.CloudBS {
-			s.profitRate -= s.marginOf(u, p.bs)
+			s.profitRate -= p.margin
 			s.state.Unassign(u)
 			if s.inc != nil {
 				s.inc.Depart(u)

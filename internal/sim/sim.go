@@ -5,18 +5,19 @@
 // internal/protocol rely on.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Engine is a single-threaded discrete-event scheduler. The zero value is
 // ready to use. Engines are not safe for concurrent use; the simulated
 // concurrency of the actors comes from event interleaving, not goroutines.
 type Engine struct {
-	now       float64
-	seq       uint64
-	queue     eventQueue
+	now float64
+	seq uint64
+	// queue is a binary min-heap of events by value on (time, seq): the
+	// children of slot i sit at 2i+1 and 2i+2. Scheduling allocates
+	// nothing once the slice has grown, and ordering is a plain field
+	// compare with no interface dispatch or pointer chasing.
+	queue     []event
 	processed int
 }
 
@@ -25,6 +26,13 @@ type event struct {
 	time float64
 	seq  uint64
 	fn   func()
+}
+
+// before is the heap order. seq is unique per engine, so (time, seq) is
+// a strict total order and the pop sequence is fully determined by the
+// scheduling sequence — equal times fire in scheduling order.
+func (a *event) before(b *event) bool {
+	return a.time < b.time || (a.time == b.time && a.seq < b.seq)
 }
 
 // Now returns the current virtual time in seconds.
@@ -52,15 +60,53 @@ func (e *Engine) ScheduleAt(t float64, fn func()) {
 		panic(fmt.Sprintf("sim: schedule at %g before now %g", t, e.now))
 	}
 	e.seq++
-	heap.Push(&e.queue, &event{time: t, seq: e.seq, fn: fn})
+	ev := event{time: t, seq: e.seq, fn: fn}
+	e.queue = append(e.queue, ev)
+	q := e.queue
+	// Sift up: move parents down until ev's slot is found.
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = ev
 }
 
 // Step executes the next event, if any, and reports whether one ran.
 func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
+	q := e.queue
+	n := len(q) - 1
+	if n < 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*event)
+	ev := q[0]
+	last := q[n]
+	q[n] = event{} // drop the callback reference for the GC
+	q = q[:n]
+	e.queue = q
+	if n > 0 {
+		// Sift down: move the smaller child up until last's slot is found.
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(&q[c]) {
+				c = r
+			}
+			if !q[c].before(&last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
 	e.now = ev.time
 	e.processed++
 	ev.fn()
@@ -98,29 +144,4 @@ func (e *Engine) RunMax(n int) int {
 		ran++
 	}
 	return ran
-}
-
-// eventQueue is a min-heap on (time, seq).
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
 }

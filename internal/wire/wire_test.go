@@ -17,7 +17,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	in := RoundRequest{
 		Round: 3,
 		Requests: []Request{
-			{UE: 7, Service: 2, CRUs: 4, RRBs: 2, SameSP: true, Fu: 5, PricePerCRU: 2.4},
+			{UE: 7, Service: 2, CRUs: 4, RRBs: 2, SameSP: true, Fu: 5},
 		},
 	}
 	if err := WriteFrame(&buf, &in); err != nil {

@@ -124,7 +124,9 @@ bench_smoke() {
 	go test -short -run '^$' -bench 'BenchmarkAllocate$|BenchmarkNewNetwork$' \
 		-benchtime 1x ./internal/alloc/ ./internal/workload/
 	go test -run '^$' -bench 'BenchmarkCluster$' -benchtime 1x ./internal/wire/
-	echo "bench smoke: BenchmarkAllocate, BenchmarkNewNetwork, and BenchmarkCluster ran clean"
+	go test -run '^$' -bench 'BenchmarkSession$' -benchtime 1x ./internal/online/
+	go test -run '^$' -bench 'BenchmarkScheduleAndRun$' -benchtime 1x ./internal/sim/
+	echo "bench smoke: BenchmarkAllocate, BenchmarkNewNetwork, BenchmarkCluster, BenchmarkSession and BenchmarkScheduleAndRun ran clean"
 }
 
 workload_specs() {
